@@ -147,15 +147,10 @@ def _read_sentence_file(path: str):
 
 def _conj_stage(sentences_ds, seed: int, batch_size: int,
                 labeler_spec=None):
-    from .stages.extract import ConjSplitter
+    from .stages.extract import ConjSplitter, map_kernel
 
-    return sentences_ds.map_batches(
-        ConjSplitter,
-        fn_constructor_kwargs=dict(seed=seed, labeler_spec=labeler_spec),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, 8),
-    )
+    return map_kernel(sentences_ds, ConjSplitter, batch_size=batch_size,
+                      seed=seed, labeler_spec=labeler_spec)
 
 
 def _stream_rows(ds, keys, columns=None):
@@ -381,7 +376,7 @@ def _write_oie_allennlp(triples_ds, splits_ds, out: str, style: str) -> None:
 
 
 class _LabelProjector:
-    """Actor: label each split sentence and project the label rows onto
+    """Kernel: label each split sentence and project the label rows onto
     original word positions (O11) on WORKERS; the driver only renders."""
 
     def __init__(self, seed: int, labeler_spec=None):
@@ -422,13 +417,11 @@ def _write_labels(splits_ds, out: str, seed: int, no_lt: bool,
                   labeler_spec=None) -> None:
     """K3/O11: label rows projected onto original word positions
     (run.py:246-291 file shape, incl. the leading blank line per block).
-    Projection runs in an actor pool; the driver streams the sorted rows."""
-    proj = splits_ds.map_batches(
-        _LabelProjector,
-        fn_constructor_kwargs=dict(seed=seed, labeler_spec=labeler_spec),
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-    )
+    Projection runs in Ray Data tasks; the driver streams the sorted rows."""
+    from .stages.extract import map_kernel
+
+    proj = map_kernel(splits_ds, _LabelProjector, seed=seed,
+                      labeler_spec=labeler_spec)
     with open(f"{out}.labels", "w", encoding="utf-8") as f:
         first = True
 
@@ -491,7 +484,7 @@ def _presplit_dataset(split_fp: str):
 
 
 def run_splitpredict(args) -> None:
-    from .stages.extract import OIEExtractor
+    from .stages.extract import OIEExtractor, map_kernel
     from .stages.group import dedup_topk_grouped
 
     spec = _labeler_spec(args)
@@ -507,13 +500,10 @@ def run_splitpredict(args) -> None:
                              labeler_spec=spec).materialize()
     _write_conj(splits, args.out)
 
-    raw = splits.drop_columns(["conj_words", "split_indices"]).map_batches(
-        OIEExtractor,
-        fn_constructor_kwargs=dict(seed=args.seed, no_lt=args.no_lt,
-                                   labeler_spec=spec),
-        batch_format="pyarrow",
-        batch_size=args.batch_size,
-        concurrency=(1, 8),
+    raw = map_kernel(
+        splits.drop_columns(["conj_words", "split_indices"]), OIEExtractor,
+        batch_size=args.batch_size, seed=args.seed, no_lt=args.no_lt,
+        labeler_spec=spec,
     )
     triples = dedup_topk_grouped(raw, args.num_extractions)
     _write_oie_allennlp(triples, splits, args.out, args.type)
@@ -539,7 +529,7 @@ def run_predict(args) -> None:
     # task oie: no conjunction splitting — each sentence is its own split
     import pyarrow as pa
 
-    from .stages.extract import OIEExtractor
+    from .stages.extract import OIEExtractor, map_kernel
     from .stages.group import dedup_topk_grouped
 
     sentences = _read_sentence_file(args.inp)
@@ -555,14 +545,8 @@ def run_predict(args) -> None:
     splits = sentences.map_batches(
         as_splits, batch_format="pyarrow"
     ).materialize()  # consumed by both the OIE stage and the key table
-    raw = splits.map_batches(
-        OIEExtractor,
-        fn_constructor_kwargs=dict(seed=args.seed, no_lt=args.no_lt,
-                                   labeler_spec=spec),
-        batch_format="pyarrow",
-        batch_size=args.batch_size,
-        concurrency=(1, 8),
-    )
+    raw = map_kernel(splits, OIEExtractor, batch_size=args.batch_size,
+                     seed=args.seed, no_lt=args.no_lt, labeler_spec=spec)
     triples = dedup_topk_grouped(raw, args.num_extractions)
     _write_oie_allennlp(triples, splits, args.out, args.type)
     print(f"Triples written to {args.out}.oie")

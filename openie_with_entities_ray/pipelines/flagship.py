@@ -4,10 +4,10 @@ Ray-Data-native splitpredict analogue (/root/reference/run.py:161-243):
 
     read_parquet(source_docs)
       → map_batches: sentence explode + sha256 lineage   (stateless tasks)
-      → map_batches(FusedExtractor, concurrency=...)     (actor pool;
-          conj-split + OIE label + decode + per-sentence dedup/top-k,
-          zero shuffle — see stages/extract.py)
-      → map_batches(EntityTagger, concurrency=...)       (actor pool)
+      → map_kernel(FusedExtractor[WithEntities])         (tasks, one kernel
+          per worker process: conj-split + OIE label + decode +
+          per-sentence dedup/top-k [+ entity tagging], zero shuffle —
+          see stages/extract.py)
       → [groupby canonicalization / edge dedup / partitioned write]
 
 Everything is lazy/streaming; nothing materializes the corpus.
@@ -18,7 +18,12 @@ from __future__ import annotations
 import os
 
 from ..stages.canonical import canonicalize_surfaces
-from ..stages.extract import ConjSplitter, FusedExtractor, OIEExtractor
+from ..stages.extract import (
+    ConjSplitter,
+    FusedExtractor,
+    OIEExtractor,
+    map_kernel,
+)
 from ..stages.entity import tag_entities
 from ..stages.graph import (
     completed_partitions,
@@ -31,26 +36,6 @@ from ..stages.group import dedup_topk_grouped
 from ..stages.sentences import docs_to_sentences
 
 
-def _default_concurrency():
-    """Actor-pool size scaled to the cluster: leave ~1/4 of CPUs for the
-    stateless read/explode/write stages so the pool never starves them."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    # min > 1 so the pool doesn't spend the whole run autoscaler-ramping
-    return (max(1, cpus // 4), max(2, (cpus * 3) // 4))
-
-
-def _single_pool_concurrency():
-    """When the pipeline has ONE actor pool it can pre-start half the
-    cluster without starving anything (two-pool paths must stay at the
-    smaller _default_concurrency minimum or they deadlock small CPUs)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return (max(1, cpus // 2), max(2, (cpus * 3) // 4))
-
-
 def extract_triples(
     docs_ds,
     *,
@@ -58,55 +43,40 @@ def extract_triples(
     num_extractions: int = 5,
     no_lt: bool = False,
     fused: bool = True,
-    concurrency=None,
     batch_size: int = 512,
     labeler_spec: dict | None = None,
 ):
     """source_docs Dataset → final triples Dataset (TRIPLES schema).
 
-    ``labeler_spec`` selects the grid labeler per actor (see
+    ``labeler_spec`` selects the grid labeler per kernel (see
     state/labeler.py:make_labeler) — e.g. ``{"kind": "grid",
     "oie_weights": "w.npz", "conj_weights": "w.npz"}`` runs the numpy
-    BERT forward inside the pool instead of the surrogate."""
-    if concurrency is None:
-        concurrency = _default_concurrency()
+    BERT forward inside the tasks instead of the surrogate."""
     sentences = docs_to_sentences(docs_ds)
     if fused:
-        return sentences.map_batches(
-            FusedExtractor,
-            fn_constructor_kwargs=dict(
-                seed=seed, num_extractions=num_extractions, no_lt=no_lt,
-                labeler_spec=labeler_spec,
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
+        return map_kernel(
+            sentences, FusedExtractor, batch_size=batch_size, seed=seed,
+            num_extractions=num_extractions, no_lt=no_lt,
+            labeler_spec=labeler_spec,
         )
     # staged variant: conj-split stage → OIE stage → grouped dedup/top-k
-    splits = sentences.map_batches(
-        ConjSplitter,
-        fn_constructor_kwargs=dict(seed=seed, labeler_spec=labeler_spec),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    splits = map_kernel(
+        sentences, ConjSplitter, batch_size=batch_size, seed=seed,
+        labeler_spec=labeler_spec,
     ).drop_columns(["conj_words", "split_indices"])
-    raw = splits.map_batches(
-        OIEExtractor,
-        fn_constructor_kwargs=dict(seed=seed, no_lt=no_lt,
-                                   labeler_spec=labeler_spec),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    raw = map_kernel(
+        splits, OIEExtractor, batch_size=batch_size, seed=seed, no_lt=no_lt,
+        labeler_spec=labeler_spec,
     )
     return dedup_topk_grouped(raw, num_extractions)
 
 
 def extract_triples_with_entities(docs_ds, ent_backend: str = "dictionary",
                                   fused: bool = True, **kwargs):
-    """Fused default: extraction + entity tagging share one actor pool
+    """Fused default: extraction + entity tagging in one kernel
     (stages/entity.py:FusedExtractorWithEntities — saves an object-store
     round trip of the full triples table). The staged path keeps the two
-    pools separate."""
+    stages separate."""
     if fused:
         from ..stages.entity import FusedExtractorWithEntities
 
@@ -114,7 +84,6 @@ def extract_triples_with_entities(docs_ds, ent_backend: str = "dictionary",
         num_extractions = kwargs.pop("num_extractions", 5)
         no_lt = kwargs.pop("no_lt", False)
         labeler_spec = kwargs.pop("labeler_spec", None)
-        concurrency = kwargs.pop("concurrency", None) or _single_pool_concurrency()
         batch_size = kwargs.pop("batch_size", 512)
         if kwargs:
             # the staged branch would raise via extract_triples(**kwargs);
@@ -123,15 +92,11 @@ def extract_triples_with_entities(docs_ds, ent_backend: str = "dictionary",
             raise TypeError(
                 f"unexpected keyword arguments: {sorted(kwargs)}"
             )
-        return docs_to_sentences(docs_ds).map_batches(
-            FusedExtractorWithEntities,
-            fn_constructor_kwargs=dict(
-                seed=seed, num_extractions=num_extractions, no_lt=no_lt,
-                backend=ent_backend, labeler_spec=labeler_spec,
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
+        return map_kernel(
+            docs_to_sentences(docs_ds), FusedExtractorWithEntities,
+            batch_size=batch_size, seed=seed,
+            num_extractions=num_extractions, no_lt=no_lt,
+            backend=ent_backend, labeler_spec=labeler_spec,
         )
     return tag_entities(extract_triples(docs_ds, fused=False, **kwargs),
                         backend=ent_backend)

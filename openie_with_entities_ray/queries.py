@@ -1344,13 +1344,11 @@ def q_triples_entities(sf_dir):
 
 
 def q_conj_splits(sf_dir):
-    from .stages.extract import ConjSplitter
+    from .stages.extract import ConjSplitter, map_kernel
     from .stages.sentences import docs_to_sentences
 
-    return docs_to_sentences(_source_docs(sf_dir)).map_batches(
-        ConjSplitter,
-        batch_format="pyarrow",
-        concurrency=(1, 8),
+    return map_kernel(
+        docs_to_sentences(_source_docs(sf_dir)), ConjSplitter
     ).drop_columns(["conj_words", "split_indices", "content_sha256"])
 
 
@@ -1373,15 +1371,12 @@ def q_conj_splits_coord(sf_dir):
     conj label → decode → split path (multi-conjunct splits, 'nor' drop,
     unbreakable veto) under the hard value-hash gate, not just the
     differential pytest suite."""
-    from .stages.extract import ConjSplitter
+    from .stages.extract import ConjSplitter, map_kernel
     from .stages.sentences import docs_to_sentences
 
-    return docs_to_sentences(
-        _source_docs(sf_dir).union(_coord_fixture_ds())
-    ).map_batches(
+    return map_kernel(
+        docs_to_sentences(_source_docs(sf_dir).union(_coord_fixture_ds())),
         ConjSplitter,
-        batch_format="pyarrow",
-        concurrency=(1, 8),
     ).drop_columns(["conj_words", "split_indices", "content_sha256"])
 
 
@@ -1730,14 +1725,11 @@ def q_entity_filtered_triples(sf_dir):
     value-hash gate."""
     from .pipelines.flagship import extract_triples
     from .stages.entity import EntityBaselineFilter
+    from .stages.extract import map_kernel
 
     docs = _source_docs(sf_dir).union(_entity_fixture_ds())
     return _conf_to_centi(
-        extract_triples(docs).map_batches(
-            EntityBaselineFilter,
-            batch_format="pyarrow",
-            concurrency=(1, 8),
-        )
+        map_kernel(extract_triples(docs), EntityBaselineFilter)
     )
 
 

@@ -9,11 +9,11 @@ emitted triples (/root/reference/scripts/violations.py:48-110):
 - c3: an entity appears inside the predicate;
 - c4: an entity is segmented across triple parts.
 
-Here: a :class:`DictionaryNER` actor pool tags + links mentions in each
-triple's arg1/rel/arg2 and emits entity-typed argument columns plus the
-four violation flags as quality columns. Linking = alias-dict candidate
-generation + cosine disambiguation against a deterministic context
-embedding (state/ner.py).
+Here: a :class:`DictionaryNER` per worker process tags + links mentions
+in each triple's arg1/rel/arg2 and emits entity-typed argument columns
+plus the four violation flags as quality columns. Linking = alias-dict
+candidate generation + cosine disambiguation against a deterministic
+context embedding (state/ner.py).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..state.ner import DictionaryNER
+from .extract import map_kernel
 
 
 class EntityTagger:
@@ -170,10 +171,10 @@ class EntityBaselineFilter:
 
 
 class FusedExtractorWithEntities:
-    """Extraction + entity tagging in ONE actor pool: composing the two
-    stages in-process removes an object-store boundary (~350 MB of triples
-    per million docs would otherwise round-trip through plasma between
-    two pools) and halves the actor footprint."""
+    """Extraction + entity tagging in ONE kernel: composing the two stages
+    in-process removes an object-store boundary (~350 MB of triples per
+    million docs would otherwise round-trip through plasma between two
+    operators) and holds one labeler and one NER per worker process."""
 
     def __init__(self, seed: int = 777, num_extractions: int = 5,
                  no_lt: bool = False, backend: str = "dictionary",
@@ -190,18 +191,10 @@ class FusedExtractorWithEntities:
         return self.tag(self.extract(batch))
 
 
-def tag_entities(triples_ds, *, concurrency=None, batch_size: int = 1024,
+def tag_entities(triples_ds, *, batch_size: int = 1024,
                  backend: str = "dictionary"):
-    """Attach entity columns with an actor pool (NER state per actor);
-    ``backend`` selects the mention detector (--ent_extractor analogue)."""
-    if concurrency is None:
-        from ..pipelines.flagship import _default_concurrency
-
-        concurrency = _default_concurrency()
-    return triples_ds.map_batches(
-        EntityTagger,
-        fn_constructor_kwargs=dict(backend=backend),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    """Attach entity columns with Ray Data tasks (NER state per worker
+    process, see stages/extract.py:map_kernel); ``backend`` selects the
+    mention detector (--ent_extractor analogue)."""
+    return map_kernel(triples_ds, EntityTagger, batch_size=batch_size,
+                      backend=backend)

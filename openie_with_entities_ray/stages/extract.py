@@ -15,13 +15,18 @@ Two deployment shapes, same kernels:
    reference's corpus-wide ``all_predictions`` accumulator
    (model.py:609, its scalability wall) disappears entirely.
 
-Both are callable classes → Ray actor pools (``map_batches(Cls,
-concurrency=...)``): labeler state is built once per actor in ``__init__``
-(the slot where a ``TorchGridLabeler`` would load BERT weights,
-/root/reference/run.py:46-51).
+Both are kernel classes run as Ray Data tasks through :func:`map_kernel`:
+labeler state is built once per worker process per pipeline in
+``__init__`` (the slot where a ``TorchGridLabeler`` would load BERT
+weights, the reference's run.py:46-51), and the task pool's worker
+processes are reused across executions instead of an actor pool being
+spawned for each one.
 """
 
 from __future__ import annotations
+
+import uuid
+from collections import OrderedDict
 
 import pyarrow as pa
 
@@ -35,6 +40,49 @@ from ..functions.triples import (
 from ..state.labeler import DeterministicLabeler, make_labeler
 
 _SENT_KEY_COLS = ("repo", "path", "commit", "content_sha256", "sent_id")
+
+# kernels of the last few map_kernel calls that ran in this process (a
+# staged plan runs ConjSplitter and OIEExtractor side by side). It lives
+# at module level because a Ray task's function is unpickled afresh for
+# every task: only the worker process's imported module outlasts a task,
+# and kernel_fn's closure reaches it through _cached_kernel, which
+# cloudpickle sends by reference, not by value.
+_KERNEL_CACHE_SIZE = 4
+_kernels: OrderedDict = OrderedDict()
+
+
+def _cached_kernel(key, cls, ctor_kwargs: dict):
+    """``cls(**ctor_kwargs)``, built at most once per process per ``key``."""
+    kernel = _kernels.get(key)
+    if kernel is None:
+        kernel = _kernels[key] = cls(**ctor_kwargs)
+        while len(_kernels) > _KERNEL_CACHE_SIZE:
+            _kernels.popitem(last=False)
+    else:
+        _kernels.move_to_end(key)
+    return kernel
+
+
+def kernel_fn(cls, **ctor_kwargs):
+    """A batch function that applies one ``cls(**ctor_kwargs)`` per worker
+    process. The key carries a token minted per call, so every pipeline
+    gets fresh kernel state (e.g. EntityTagger's memos) and never sees
+    another's. The function is named after the class, so Ray's operator
+    reads ``MapBatches(<cls>)``."""
+    key = (cls, repr(sorted(ctor_kwargs.items())), uuid.uuid4().hex)
+
+    def run(batch: pa.Table) -> pa.Table:
+        return _cached_kernel(key, cls, ctor_kwargs)(batch)
+
+    run.__name__ = run.__qualname__ = cls.__name__
+    return run
+
+
+def map_kernel(ds, cls, *, batch_size=None, **ctor_kwargs):
+    """``ds.map_batches`` of a kernel class over Arrow batches as Ray Data
+    tasks (see :func:`kernel_fn`)."""
+    return ds.map_batches(kernel_fn(cls, **ctor_kwargs),
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
 def _split_sentence_rows(labeler, sentence: str, with_indices: bool = False):

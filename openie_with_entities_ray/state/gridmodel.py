@@ -302,9 +302,9 @@ class NumpyGridLabeler:
     rounded to 2 decimals at test time (model.py:477). ``label_conj``
     runs the conj-task model (max depth 3, model.py:93) marker-free.
 
-    One instance per actor (weights loaded once in ``__init__`` of the
-    map_batches class) — identical deployment shape to
-    DeterministicLabeler.
+    One instance per kernel (weights loaded once in ``__init__`` of the
+    kernel class, once per worker process via stages/extract.py:map_kernel)
+    — identical deployment shape to DeterministicLabeler.
     """
 
     MARKERS = ("[unused1]", "[unused2]", "[unused3]")

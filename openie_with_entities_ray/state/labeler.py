@@ -289,8 +289,8 @@ class TorchGridLabeler:
     - confidences rounded to 2 decimals at test time (model.py:477):
       top-k ordering depends on this.
 
-    Instantiated inside an actor's ``__init__`` (one weight load per
-    worker, run.py:46-51 analogue). Raises ImportError in this
+    Instantiated inside a kernel's ``__init__`` (one weight load per
+    worker process, run.py:46-51 analogue). Raises ImportError in this
     environment: torch is not installed — use DeterministicLabeler,
     which has the same output contract.
     """
@@ -507,8 +507,8 @@ class GridLabeler:
     (run.py:229-236 loads a conj checkpoint and an oie checkpoint):
     pass ``oie_weights`` / ``conj_weights`` (either may be shared).
 
-    Instantiated inside an actor's ``__init__`` — one weight load per
-    worker, the same deployment shape as DeterministicLabeler /
+    Instantiated inside a kernel's ``__init__`` — one weight load per
+    worker process, the same deployment shape as DeterministicLabeler /
     TorchGridLabeler."""
 
     def __init__(self, *, vocab_path: str | None = None,

@@ -355,10 +355,10 @@ def test_entity_backend_pluggable(ray_session):
         )
     )
     # dictionary backend knows neither surface
-    d = tag_entities(triples, concurrency=(1, 2)).take_all()[0]
+    d = tag_entities(triples).take_all()[0]
     assert d["subj_ents"] == []
     # capitalized-run backend tags both
-    c = tag_entities(triples, concurrency=(1, 2), backend="capitalized").take_all()[0]
+    c = tag_entities(triples, backend="capitalized").take_all()[0]
     assert len(c["subj_ents"]) == 1 and len(c["obj_ents"]) == 1
     assert c["subj_types"] == ["MISC"]
 

@@ -389,7 +389,7 @@ def test_grid_labeler_flagship_end_to_end(ray_session, tmp_path):
     })).repartition(4)
 
     got = extract_triples(
-        docs, labeler_spec=spec, concurrency=(1, 2), batch_size=4,
+        docs, labeler_spec=spec, batch_size=4,
     ).to_pandas()
     assert len(got) > 0, "grid labeler produced no triples at all"
 

@@ -340,3 +340,116 @@ def test_entity_graph_nodes_cover_edge_endpoints(ray_session):
     assert endpoints, "no edges extracted"
     dangling = endpoints - node_ids
     assert not dangling, sorted(dangling)[:5]
+
+
+def _rows(table):
+    return sorted(map(repr, table.to_pylist()))
+
+
+def test_entity_pipeline_twice_matches_serial_with_fresh_kernels(
+    ray_session, monkeypatch
+):
+    """Two calls in one session both equal a single-process kernel, and
+    each call builds its own kernel: EntityTagger's memos from the first
+    call never serve the second."""
+    from collections import OrderedDict
+
+    import pyarrow as pa
+    import ray.data
+
+    from openie_with_entities_ray.oracles import entity_fixture_docs
+    from openie_with_entities_ray.pipelines.flagship import (
+        extract_triples_with_entities,
+    )
+    from openie_with_entities_ray.stages import extract
+    from openie_with_entities_ray.stages.entity import (
+        FusedExtractorWithEntities,
+    )
+    from openie_with_entities_ray.stages.sentences import docs_to_sentences
+
+    fns = []
+    real_kernel_fn = extract.kernel_fn
+
+    def spy(cls, **kwargs):
+        fns.append(real_kernel_fn(cls, **kwargs))
+        return fns[-1]
+
+    monkeypatch.setattr(extract, "kernel_fn", spy)
+    monkeypatch.setattr(extract, "_kernels", OrderedDict())
+    docs = ray.data.from_items(entity_fixture_docs(24)).repartition(3)
+    sents = pa.concat_tables(list(
+        docs_to_sentences(docs).iter_batches(batch_format="pyarrow",
+                                             batch_size=None)
+    ))
+    serial = FusedExtractorWithEntities()(sents)
+    assert any(serial.column("subj_ents").to_pylist())
+    expected = _rows(serial)
+
+    for _ in range(2):
+        got = extract_triples_with_entities(docs, batch_size=8).to_arrow_refs()
+        assert _rows(pa.concat_tables(ray.get(got))) == expected
+    assert len(fns) == 2 and fns[0].__name__ == "FusedExtractorWithEntities"
+
+    # the same batch functions in this process: one kernel per call
+    fns[0](sents)
+    (first,) = extract._kernels.values()
+    assert first.tag._mention_cache
+    fns[0](sents)
+    assert list(extract._kernels.values()) == [first]
+    assert _rows(fns[1](sents)) == expected
+    second = list(extract._kernels.values())[1]
+    assert second is not first
+    assert second.tag._mention_cache is not first.tag._mention_cache
+
+
+def test_kernel_plans_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
+    """The extraction and entity kernels run as Ray Data tasks: no plan of
+    the flagship (fused, staged, with entities) or of the CLI's
+    splitpredict starts an actor pool."""
+    from ray.data._internal.execution.operators.actor_pool_map_operator import (
+        ActorPoolMapOperator,
+    )
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from openie_with_entities_ray import cli
+    from openie_with_entities_ray.pipelines.flagship import (
+        extract_triples,
+        extract_triples_with_entities,
+    )
+
+    operators = []
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, dag, *args, **kwargs):
+        todo = [dag]
+        while todo:
+            op = todo.pop()
+            operators.append(op)
+            todo.extend(op.input_dependencies)
+        return real_execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    docs = synthetic_source_docs(12, seed=SEED)
+    assert extract_triples(docs).take_all()
+    assert extract_triples(docs, fused=False).take_all()
+    assert extract_triples_with_entities(docs).take_all()
+    assert extract_triples_with_entities(docs, fused=False).take_all()
+    inp = tmp_path / "sentences.txt"
+    inp.write_text("Alice , Bob and Carol founded Acme Corp in New York .\n"
+                   "Dave , the CEO of Globex , acquired Initech .\n")
+    cli.run_splitpredict(cli.build_parser().parse_args(
+        ["--mode", "splitpredict", "--inp", str(inp),
+         "--out", str(tmp_path / "out"), "--type", "labels"]
+    ))
+    assert (tmp_path / "out.labels").read_text().strip()
+
+    names = " ".join(op.name for op in operators)
+    for kernel in ("FusedExtractor", "FusedExtractorWithEntities",
+                   "ConjSplitter", "OIEExtractor", "EntityTagger",
+                   "_LabelProjector"):
+        assert f"MapBatches({kernel})" in names, kernel
+    pools = [op.name for op in operators
+             if isinstance(op, ActorPoolMapOperator)]
+    assert not pools, pools
