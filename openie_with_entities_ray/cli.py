@@ -26,7 +26,21 @@ stage registry):
                     (SURVEY.md §3.2)
 
 Input files speak the reference's format: one sentence per line,
-punctuation space-separated (README.md:53-57). Checkpoint flags
+punctuation space-separated (README.md:53-57).
+
+``splitpredict`` and ``predict --task oie`` are one kernel pass plus
+ordered writes. The driver reads every line, so it stamps each sentence
+row with ``first_sid`` (the line number of the text's first occurrence).
+One Ray Data task pass (``stages/extract.py:SplitExtractor``, the
+flagship's per-sentence body) maps each occurrence to one row per split
+with that split's triples after the occurrence's dedup + top-k. That
+table is materialized once; the ``.conj``/``.labels`` writers stream it
+sorted by ``(sent_id, split_id)`` and the ``.oie``/``.allennlp`` writer
+sorted by ``(first_sid, sent_id, split_id)``, merging duplicate
+sentences with a first-wins set per ``first_sid`` block. No join and no
+grouped shuffle runs. ``--split_fp`` blocks enter the same kernel as a
+``splits`` column (no conj labeler); ``predict --task oie`` uses each
+sentence as its only split. Checkpoint flags
 (``--oie_model``/``--conj_model``) select the labeler backend: absent →
 the deterministic surrogate labeler (seeded by ``--seed``).
 
@@ -120,37 +134,77 @@ def _labeler_spec(args):
     return spec
 
 
-def _read_sentence_file(path: str):
-    """S1 reader: one sentence per line, normalized (data.py:417-438);
-    provenance = (cli, path, line number)."""
+def _sentence_dataset(path: str, entries):
+    """The kernel's input rows from ``(sent_id, sha source, sentence,
+    splits)`` entries; ``splits`` None lets the kernel's conj labeler split
+    the sentence. Each row is stamped with ``first_sid``, the sent_id of
+    its text's first occurrence (the reference keys its output by sentence
+    text in first-seen order, model.py:609-634)."""
     import pyarrow as pa
     import ray.data
 
-    from .functions.text import normalize_sentence, sha256_hex, within_length_limit
+    from .functions.text import sha256_hex
+
+    sids, sha_srcs, sents, splits = list(zip(*entries)) or ([], [], [], [])
+    first_sid: dict = {}
+    n = len(sids)
+    return ray.data.from_arrow(pa.table({
+        "repo": pa.array(["cli"] * n, pa.string()),
+        "path": pa.array([path] * n, pa.string()),
+        "commit": pa.array([""] * n, pa.string()),
+        "content_sha256": pa.array([sha256_hex(s) for s in sha_srcs],
+                                   pa.string()),
+        "sent_id": pa.array(sids, pa.int64()),
+        "first_sid": pa.array(
+            [first_sid.setdefault(s, i) for i, s in zip(sids, sents)],
+            pa.int64(),
+        ),
+        "sentence": pa.array(sents, pa.string()),
+        "splits": pa.array(splits, pa.list_(pa.string())),
+    }))
+
+
+def _read_sentence_file(path: str, identity_splits: bool = False):
+    """S1 reader: one sentence per line, normalized (data.py:417-438);
+    provenance = (cli, path, line number). ``identity_splits`` makes each
+    sentence its own only split (predict without conjunction splitting)."""
+    from .functions.text import normalize_sentence, within_length_limit
 
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
-    rows = {"repo": [], "path": [], "commit": [], "content_sha256": [],
-            "sent_id": [], "sentence": []}
+    entries = []
     for i, line in enumerate(lines):
         sent = normalize_sentence(line)
-        if not sent or not within_length_limit(sent):
-            continue
-        rows["repo"].append("cli")
-        rows["path"].append(path)
-        rows["commit"].append("")
-        rows["content_sha256"].append(sha256_hex(line))
-        rows["sent_id"].append(i)
-        rows["sentence"].append(sent)
-    return ray.data.from_arrow(pa.table(rows))
+        if sent and within_length_limit(sent):
+            entries.append(
+                (i, line, sent, [sent] if identity_splits else None)
+            )
+    return _sentence_dataset(path, entries)
 
 
-def _conj_stage(sentences_ds, seed: int, batch_size: int,
-                labeler_spec=None):
-    from .stages.extract import ConjSplitter, map_kernel
+def _presplit_dataset(split_fp: str):
+    """run.py:206-227: blank-line blocks of (original, splits...) replace
+    the conj model's output; one row per block with its splits."""
+    from .sources.readers import parse_conj_blocks
 
-    return map_kernel(sentences_ds, ConjSplitter, batch_size=batch_size,
-                      seed=seed, labeler_spec=labeler_spec)
+    with open(split_fp, "r", encoding="utf-8") as f:
+        blocks = parse_conj_blocks(f.read())
+    return _sentence_dataset(
+        split_fp,
+        [(i, orig, orig, splits) for i, (orig, splits) in enumerate(blocks)],
+    )
+
+
+def _extract_rows(sentences_ds, args, labeler_spec):
+    """The one kernel pass: each sentence occurrence → one row per split
+    with its surviving triples (stages/extract.py:SplitExtractor)."""
+    from .stages.extract import SplitExtractor, map_kernel
+
+    return map_kernel(
+        sentences_ds, SplitExtractor, batch_size=args.batch_size,
+        seed=args.seed, num_extractions=args.num_extractions,
+        no_lt=args.no_lt, labeler_spec=labeler_spec,
+    )
 
 
 def _stream_rows(ds, keys, columns=None):
@@ -203,56 +257,7 @@ def _write_conj(splits_ds, out: str) -> None:
         f.write("\n")
 
 
-def _first_seen_sentences(splits_ds):
-    """Distinct original sentences with their first-seen sent_id (the
-    reference's corpus-wide first-seen-order output keying,
-    model.py:609-634): coarse crc32 partition + a vectorized pandas
-    min per text — one Ray group per PART, not per distinct sentence."""
-    import zlib
-
-    import pandas as pd
-    import pyarrow as pa
-
-    from .stages.dataops import _cluster_parts
-
-    num_parts = _cluster_parts()
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        texts = batch.column("orig_sentence").to_pylist()
-        return pa.table(
-            {
-                "orig_sentence": batch.column("orig_sentence"),
-                "sent_id": batch.column("sent_id"),
-                "part": pa.array(
-                    [
-                        zlib.crc32(t.encode("utf-8")) % num_parts
-                        for t in texts
-                    ],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        # bytes group key: pandas' str hashtable truncates at embedded
-        # NULs, merging distinct sentences from adversarial content
-        g = g.assign(
-            _k=[s.encode("utf-8") for s in g["orig_sentence"]]
-        )
-        out = g.groupby("_k", as_index=False).agg(
-            orig_sentence=("orig_sentence", "first"),
-            first_sid=("sent_id", "min"),
-        )
-        return out.drop(columns=["_k"])
-
-    return (
-        splits_ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
-    )
-
-
-def _write_oie_allennlp(triples_ds, splits_ds, out: str, style: str) -> None:
+def _write_oie_allennlp(rows_ds, out: str, style: str) -> None:
     """K1 + K2 with the reference's exact file shape (model.py:609-654,
     697-702): predictions keyed corpus-wide by original-sentence TEXT in
     first-seen order (duplicate sentences merge; triples exact-deduped
@@ -260,118 +265,43 @@ def _write_oie_allennlp(triples_ds, splits_ds, out: str, style: str) -> None:
     extractions, and blocks are blank-line separated (each block ends
     with a newline, blocks joined with '\\n').
 
-    Distributed render: the first-seen key table is computed by coarse-
-    partitioned groupby, triples join it by sentence text, the
-    cross-occurrence first-wins dedup runs vectorized per part, and the
-    driver merges the two SORTED row streams with O(batch) memory —
-    byte-identical to the whole-file writer, no corpus-sized
-    ``take_all``."""
-    import zlib
-
-    import pandas as pd
-    import pyarrow as pa
-
+    ``rows_ds`` is the kernel's per-split table: each occurrence's
+    triples are already deduped and cut to top-k, and ``first_sid`` names
+    the block each row belongs to. The driver streams it sorted by
+    ``(first_sid, sent_id, split_id)`` with O(batch) memory, and the
+    cross-occurrence first-wins dedup is one set per block."""
     from .functions.triples import (
         Triple,
         ext_to_allennlp,
         ext_to_sentence,
         ext_to_string,
     )
-    from .stages.dataops import _cluster_parts, cluster_cpus
 
-    # materialized: consumed by the triples join AND the header stream —
-    # lazy would run the coarse-partition shuffle twice
-    headers = _first_seen_sentences(splits_ds).materialize()
-    hdr_renamed = headers.map_batches(
-        lambda b: pa.table(
-            {
-                "__hdr_sentence": b.column("orig_sentence"),
-                "first_sid": b.column("first_sid"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    joined = triples_ds.join(
-        hdr_renamed,
-        join_type="inner",
-        num_partitions=max(2, cluster_cpus() // 4),
-        on=("orig_sentence",),
-        right_on=("__hdr_sentence",),
-    )
-
-    num_parts = _cluster_parts()
-
-    from .stages.dataops import composite_key_bytes
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        from .functions.triples import triple_dedup_key
-
-        a1 = batch.column("arg1").to_pylist()
-        rel = batch.column("rel").to_pylist()
-        a2 = batch.column("arg2").to_pylist()
-        sents = batch.column("orig_sentence").to_pylist()
-        keys = [
-            triple_dedup_key(x, y, z) for x, y, z in zip(a1, rel, a2)
-        ]
-        parts = [
-            zlib.crc32(k) % num_parts
-            for k in composite_key_bytes(sents, keys)
-        ]
-        batch = batch.append_column("dedup_key", pa.array(keys, pa.string()))
-        return batch.append_column("__part", pa.array(parts, pa.int64()))
-
-    def first_wins(g: pd.DataFrame) -> pd.DataFrame:
-        # injective NUL-safe composite bytes key (dataops docstring)
-        g = g.assign(
-            _k=composite_key_bytes(g["orig_sentence"], g["dedup_key"])
-        )
-        out = (
-            g.sort_values(
-                ["sent_id", "split_id", "depth"], kind="mergesort"
-            )
-            .groupby("_k", sort=False)
-            .head(1)
-        )
-        return out.drop(columns=["_k", "__part"])
-
-    prepped = (
-        joined.map_batches(add_key, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(first_wins, batch_format="pandas")
-    )
-
-    hdr_iter = _stream_rows(
-        headers, ["first_sid"], ["first_sid", "orig_sentence"]
-    )
-    tri_iter = _stream_rows(
-        prepped,
-        ["first_sid", "sent_id", "split_id", "depth"],
-        [
-            "first_sid", "sent_id", "split_id", "depth", "arg1", "rel",
-            "arg2", "confidence",
-        ],
-    )
+    render = ext_to_sentence if style == "sentences" else ext_to_string
     with open(f"{out}.oie", "w", encoding="utf-8") as foie, open(
         f"{out}.allennlp", "w", encoding="utf-8"
     ) as fall:
-        tri = next(tri_iter, None)
-        first_block = True
-        for hdr in hdr_iter:
-            sid = hdr["first_sid"]
-            sentence = hdr["orig_sentence"]
-            block = sentence + "\n"
-            while tri is not None and tri["first_sid"] == sid:
-                t = Triple(tri["arg1"], tri["rel"], tri["arg2"],
-                           tri["confidence"])
-                block += (
-                    ext_to_sentence(t)
-                    if style == "sentences"
-                    else ext_to_string(t)
-                ) + "\n"
+        cur_sid = None
+        seen: set = set()
+        for r in _stream_rows(
+            rows_ds,
+            ["first_sid", "sent_id", "split_id"],
+            ["first_sid", "sent_id", "split_id", "orig_sentence", "triples"],
+        ):
+            if r["first_sid"] != cur_sid:
+                if cur_sid is not None:
+                    foie.write("\n")
+                cur_sid = r["first_sid"]
+                sentence = r["orig_sentence"]
+                foie.write(sentence + "\n")
+                seen = set()
+            for x in r["triples"]:
+                t = Triple(x["arg1"], x["rel"], x["arg2"], x["confidence"])
+                if t.dedup_key in seen:
+                    continue
+                seen.add(t.dedup_key)
+                foie.write(render(t) + "\n")
                 fall.write(ext_to_allennlp(sentence, t) + "\n")
-                tri = next(tri_iter, None)
-            foie.write(("" if first_block else "\n") + block)
-            first_block = False
         foie.write("\n")
 
 
@@ -417,7 +347,9 @@ def _write_labels(splits_ds, out: str, seed: int, no_lt: bool,
                   labeler_spec=None) -> None:
     """K3/O11: label rows projected onto original word positions
     (run.py:246-291 file shape, incl. the leading blank line per block).
-    Projection runs in Ray Data tasks; the driver streams the sorted rows."""
+    ``splits_ds`` is the kernel's per-split table (``split_sentence``,
+    ``split_indices``); projection runs in Ray Data tasks and the driver
+    streams the rows sorted by ``(sent_id, split_id)``."""
     from .stages.extract import map_kernel
 
     proj = map_kernel(splits_ds, _LabelProjector, seed=seed,
@@ -440,75 +372,21 @@ def _write_labels(splits_ds, out: str, seed: int, no_lt: bool,
         emit("\n")
 
 
-def _presplit_dataset(split_fp: str):
-    """run.py:206-227: blank-line blocks of (original, splits...) replace
-    the conj model's output; provenance keys synthesized per block."""
-    import pyarrow as pa
-    import ray.data
-
-    from .functions.text import sha256_hex
-    from .sources.readers import parse_conj_blocks
-
-    with open(split_fp, "r", encoding="utf-8") as f:
-        blocks = parse_conj_blocks(f.read())
-    rows = {
-        "repo": [], "path": [], "commit": [], "content_sha256": [],
-        "sent_id": [], "split_id": [], "split_sentence": [],
-        "orig_sentence": [], "conj_words": [], "split_indices": [],
-    }
-    for sent_id, (orig, splits) in enumerate(blocks):
-        for split_id, split_sentence in enumerate(splits):
-            rows["repo"].append("cli")
-            rows["path"].append(split_fp)
-            rows["commit"].append("")
-            rows["content_sha256"].append(sha256_hex(orig))
-            rows["sent_id"].append(sent_id)
-            rows["split_id"].append(split_id)
-            rows["split_sentence"].append(split_sentence)
-            rows["orig_sentence"].append(orig)
-            rows["conj_words"].append([])
-            rows["split_indices"].append([])
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                **{k: pa.array(rows[k]) for k in
-                   ("repo", "path", "commit", "content_sha256", "sent_id",
-                    "split_id", "split_sentence", "orig_sentence")},
-                "conj_words": pa.array(rows["conj_words"], pa.list_(pa.string())),
-                "split_indices": pa.array(
-                    rows["split_indices"], pa.list_(pa.int64())
-                ),
-            }
-        )
-    )
-
-
 def run_splitpredict(args) -> None:
-    from .stages.extract import OIEExtractor, map_kernel
-    from .stages.group import dedup_topk_grouped
-
     spec = _labeler_spec(args)
     if args.split_fp:
-        splits = _presplit_dataset(args.split_fp).materialize()
+        sentences = _presplit_dataset(args.split_fp)
     else:
         sentences = _read_sentence_file(args.inp)
-        # materialized once: consumed by the .conj writer, the first-seen
-        # key table, the OIE stage and the labels writer (a lazy Dataset
-        # would re-run the labeler per consumer); pinned blocks spill to
-        # the object store, nothing corpus-sized lands on the driver
-        splits = _conj_stage(sentences, args.seed, args.batch_size,
-                             labeler_spec=spec).materialize()
-    _write_conj(splits, args.out)
-
-    raw = map_kernel(
-        splits.drop_columns(["conj_words", "split_indices"]), OIEExtractor,
-        batch_size=args.batch_size, seed=args.seed, no_lt=args.no_lt,
-        labeler_spec=spec,
-    )
-    triples = dedup_topk_grouped(raw, args.num_extractions)
-    _write_oie_allennlp(triples, splits, args.out, args.type)
+    # materialized once: read by the .conj, .oie/.allennlp and .labels
+    # writers (a lazy Dataset would re-run the labelers per writer);
+    # pinned blocks spill to the object store, nothing corpus-sized lands
+    # on the driver
+    rows = _extract_rows(sentences, args, spec).materialize()
+    _write_conj(rows, args.out)
+    _write_oie_allennlp(rows, args.out, args.type)
     if "labels" in (args.type or ""):
-        _write_labels(splits, args.out, args.seed, args.no_lt,
+        _write_labels(rows, args.out, args.seed, args.no_lt,
                       labeler_spec=spec)
     print(
         f"Triples written to {args.out}.oie, Conjunctions written to "
@@ -519,36 +397,18 @@ def run_splitpredict(args) -> None:
 def run_predict(args) -> None:
     spec = _labeler_spec(args)
     if args.task == "conj":
-        sentences = _read_sentence_file(args.inp)
-        _write_conj(
-            _conj_stage(sentences, args.seed, args.batch_size,
-                        labeler_spec=spec), args.out
-        )
+        from .stages.extract import ConjSplitter, map_kernel
+
+        splits = map_kernel(_read_sentence_file(args.inp), ConjSplitter,
+                            batch_size=args.batch_size, seed=args.seed,
+                            labeler_spec=spec)
+        _write_conj(splits, args.out)
         print(f"Conjunctions written to {args.out}.conj")
         return
     # task oie: no conjunction splitting — each sentence is its own split
-    import pyarrow as pa
-
-    from .stages.extract import OIEExtractor, map_kernel
-    from .stages.group import dedup_topk_grouped
-
-    sentences = _read_sentence_file(args.inp)
-
-    def as_splits(batch: pa.Table) -> pa.Table:
-        cols = {c: batch.column(c) for c in batch.column_names}
-        n = batch.num_rows
-        cols["split_id"] = pa.array([0] * n, pa.int64())
-        cols["split_sentence"] = batch.column("sentence")
-        cols["orig_sentence"] = batch.column("sentence")
-        return pa.table(cols)
-
-    splits = sentences.map_batches(
-        as_splits, batch_format="pyarrow"
-    ).materialize()  # consumed by both the OIE stage and the key table
-    raw = map_kernel(splits, OIEExtractor, batch_size=args.batch_size,
-                     seed=args.seed, no_lt=args.no_lt, labeler_spec=spec)
-    triples = dedup_topk_grouped(raw, args.num_extractions)
-    _write_oie_allennlp(triples, splits, args.out, args.type)
+    sentences = _read_sentence_file(args.inp, identity_splits=True)
+    _write_oie_allennlp(_extract_rows(sentences, args, spec), args.out,
+                        args.type)
     print(f"Triples written to {args.out}.oie")
 
 

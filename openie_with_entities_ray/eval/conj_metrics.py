@@ -71,14 +71,6 @@ def count_sentence(counters, pred_coords: dict, true_coords: dict) -> None:
                 rec["tn"] += 1
 
 
-def merge_counters(a, b):
-    out = empty_counters()
-    for c in CRITERIA:
-        for k in out[c]:
-            out[c][k] = a[c][k] + b[c][k]
-    return out
-
-
 def scores(counters) -> Dict[str, float]:
     """P_exact/R_exact + F1 per criteria, reference naming
     (metric.py:355-363)."""

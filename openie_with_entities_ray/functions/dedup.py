@@ -113,16 +113,3 @@ def simhash64(text: str) -> int:
 
 def hamming64(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
-
-
-def cosine_topk(
-    query: np.ndarray, matrix: np.ndarray, ids: np.ndarray, k: int
-):
-    """Brute-force cosine top-k of `query` (d,) against `matrix` (n, d).
-    Returns (scores, ids) sorted desc with deterministic id tie-break."""
-    qn = query / (np.linalg.norm(query) or 1.0)
-    norms = np.linalg.norm(matrix, axis=1)
-    norms[norms == 0] = 1.0
-    sims = (matrix @ qn) / norms
-    order = np.lexsort((ids, -sims))[:k]
-    return sims[order], ids[order]

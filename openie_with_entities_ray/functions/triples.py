@@ -41,8 +41,9 @@ _MARKER_NUM = re.compile(r"\[unused(\d+)\]")
 def triple_dedup_key(arg1: str, rel: str, arg2: str) -> str:
     """The reference's extraction identity string:
     ``' '.join(extr.args) + ' ' + extr.pred`` (model.py:596). The ONE
-    definition — Triple.dedup_key and the CLI's columnar dedup both call
-    it, so the quirk (args first, pred last) can never diverge."""
+    definition — Triple.dedup_key (the extractors' and the CLI writer's
+    first-wins dedup) calls it, so the quirk (args first, pred last) can
+    never diverge."""
     return arg1 + " " + arg2 + " " + rel
 
 

@@ -63,9 +63,3 @@ def oracle_predictions(
             all_predictions[sentence], num_extractions
         )
     return all_predictions
-
-
-def oracle_triples(docs, **kwargs):
-    """Flattened [(sentence, Triple)] view of :func:`oracle_predictions`."""
-    preds = oracle_predictions(docs, **kwargs)
-    return [(s, t) for s, ts in preds.items() for t in ts]

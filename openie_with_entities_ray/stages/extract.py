@@ -13,9 +13,13 @@ Two deployment shapes, same kernels:
    sentence dedup + top-k (/root/reference/model.py:595-634,
    metric.py:435-438) complete *in-stage* with zero shuffle: the
    reference's corpus-wide ``all_predictions`` accumulator
-   (model.py:609, its scalability wall) disappears entirely.
+   (model.py:609, its scalability wall) disappears entirely. Its
+   per-sentence body, :meth:`FusedExtractor.extract_splits`, is the one
+   definition of split → label → decode → dedup → top-k;
+   :class:`SplitExtractor` runs the same body for the CLI and emits one
+   row per split for its writers.
 
-Both are kernel classes run as Ray Data tasks through :func:`map_kernel`:
+All are kernel classes run as Ray Data tasks through :func:`map_kernel`:
 labeler state is built once per worker process per pipeline in
 ``__init__`` (the slot where a ``TorchGridLabeler`` would load BERT
 weights, the reference's run.py:46-51), and the task pool's worker
@@ -88,7 +92,8 @@ def map_kernel(ds, cls, *, batch_size=None, **ctor_kwargs):
 def _split_sentence_rows(labeler, sentence: str, with_indices: bool = False):
     """conj label → decode → split; '' split list means identity
     (run.py:180-187: a sentence with no surviving coordination maps to
-    itself). With ``with_indices``, also returns each split's sorted
+    itself). Returns ``(splits, conj_words, indices)``; ``indices`` is
+    ``None`` unless ``with_indices`` asks for each split's sorted
     original-word index list (run.py:246-291 uses them to project labels
     back onto original positions; identity split → full range,
     run.py:256-258)."""
@@ -98,9 +103,8 @@ def _split_sentence_rows(labeler, sentence: str, with_indices: bool = False):
     if not splits:
         splits = [sentence]
         indices = [list(range(len(sentence.split())))]
-    if with_indices:
-        return splits, conj_words, [sorted(ix) for ix in indices]
-    return splits, conj_words
+    return (splits, conj_words,
+            [sorted(ix) for ix in indices] if with_indices else None)
 
 
 class ConjSplitter:
@@ -218,7 +222,23 @@ class FusedExtractor:
 
     def extract_one(self, sentence: str):
         """All surviving triples of one original sentence, in final order."""
-        splits, conj_words = _split_sentence_rows(self.labeler, sentence)
+        return self.extract_splits(sentence)[2]
+
+    def extract_splits(self, sentence: str, splits=None,
+                       with_indices: bool = False):
+        """split → label → decode → dedup → top-k of one original sentence.
+
+        Returns ``(splits, indices, kept)``: the split sentences, their
+        original-word index lists (``None`` unless ``with_indices`` and the
+        conj labeler split the sentence) and the surviving
+        ``(split_id, depth, Triple)`` in final order. A given ``splits``
+        list (a pre-split block) skips the conj labeler."""
+        if splits is None:
+            splits, conj_words, indices = _split_sentence_rows(
+                self.labeler, sentence, with_indices
+            )
+        else:
+            conj_words, indices = [], None
         collected = []  # (split_id, depth, Triple) in reference encounter order
         for split_id, split_sentence in enumerate(splits):
             rows, confs = self.labeler.label_oie(split_sentence)
@@ -232,7 +252,7 @@ class FusedExtractor:
         kept = top_k(triples, self.num_extractions)
         # recover (split_id, depth) provenance for the survivors
         by_id = {id(t): (s, d) for s, d, t in collected}
-        return [(by_id[id(t)][0], by_id[id(t)][1], t) for t in kept]
+        return splits, indices, [(*by_id[id(t)], t) for t in kept]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         keys = {c: batch.column(c).to_pylist() for c in _SENT_KEY_COLS}
@@ -265,5 +285,68 @@ class FusedExtractor:
                 "rel": pa.array(out_rel, pa.string()),
                 "arg2": pa.array(out_a2, pa.string()),
                 "confidence": pa.array(out_conf, pa.float64()),
+            }
+        )
+
+
+TRIPLE_STRUCT = pa.struct(
+    [
+        ("depth", pa.int64()),
+        ("arg1", pa.string()),
+        ("rel", pa.string()),
+        ("arg2", pa.string()),
+        ("confidence", pa.float64()),
+    ]
+)
+
+
+class SplitExtractor(FusedExtractor):
+    """sentence occurrences → one row per split, carrying the split's
+    survivors of the occurrence's dedup + top-k (the CLI's output table).
+
+    A non-null ``splits`` list gives a row's pre-split sentences and skips
+    the conj labeler. ``first_sid`` is carried so the ``.oie`` writer can
+    merge duplicate sentences in first-seen order."""
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        key_cols = _SENT_KEY_COLS + ("first_sid",)
+        keys = {c: batch.column(c).to_pylist() for c in key_cols}
+        sentences = batch.column("sentence").to_pylist()
+        given = batch.column("splits").to_pylist()
+        out = {c: [] for c in key_cols}
+        out_split_id, out_split, out_orig, out_idx, out_triples = (
+            [], [], [], [], []
+        )
+        for row_idx, sentence in enumerate(sentences):
+            splits, indices, kept = self.extract_splits(
+                sentence, given[row_idx], with_indices=True
+            )
+            per_split = [[] for _ in splits]
+            for split_id, depth, t in sorted(kept, key=lambda x: x[:2]):
+                per_split[split_id].append(
+                    {"depth": depth, "arg1": t.arg1, "rel": t.rel,
+                     "arg2": t.arg2, "confidence": t.confidence}
+                )
+            for split_id, split_sentence in enumerate(splits):
+                for c in key_cols:
+                    out[c].append(keys[c][row_idx])
+                out_split_id.append(split_id)
+                out_split.append(split_sentence)
+                out_orig.append(sentence)
+                out_idx.append(indices[split_id] if indices else [])
+                out_triples.append(per_split[split_id])
+        return pa.table(
+            {
+                "repo": pa.array(out["repo"], pa.string()),
+                "path": pa.array(out["path"], pa.string()),
+                "commit": pa.array(out["commit"], pa.string()),
+                "content_sha256": pa.array(out["content_sha256"], pa.string()),
+                "sent_id": pa.array(out["sent_id"], pa.int64()),
+                "first_sid": pa.array(out["first_sid"], pa.int64()),
+                "split_id": pa.array(out_split_id, pa.int64()),
+                "split_sentence": pa.array(out_split, pa.string()),
+                "orig_sentence": pa.array(out_orig, pa.string()),
+                "split_indices": pa.array(out_idx, pa.list_(pa.int64())),
+                "triples": pa.array(out_triples, pa.list_(TRIPLE_STRUCT)),
             }
         )

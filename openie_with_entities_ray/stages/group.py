@@ -1,9 +1,9 @@
 """Grouped per-sentence dedup + top-k (A1/A3) for detached inputs.
 
-The fused flagship path never needs this (splits stay row-co-located in
-stages/extract.py). This stage exists for the staged pipeline and for
-inputs that arrive already split and shuffled (the reference's
-``--split_fp`` pre-split file mode, /root/reference/run.py:206-227): a
+The fused flagship path and the CLI never need this (splits stay
+row-co-located in stages/extract.py, and the CLI's ``--split_fp`` blocks
+enter its kernel as one row each). This stage exists for the staged
+pipeline (``fused=False``) and for merging prediction sets: a
 hash-partition ``groupby`` on the original-sentence identity, then a
 per-group kernel that sorts by (split_id, depth) — Ray gives no arrival-
 order guarantee, and the reference's dedup is first-wins in encounter

@@ -567,10 +567,6 @@ def make_labeler(spec=None):
     raise ValueError(f"unknown labeler kind {kind!r}")
 
 
-def default_labeler(seed: int = 777) -> DeterministicLabeler:
-    return DeterministicLabeler(seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # train-time featurizer surrogates (O5/O6): the reference computes per-word
 # POS (ADJ/ADV/NOUN/PROPN/VERB membership) and non-light-verb flags with

@@ -238,46 +238,28 @@ def test_dedup_job_cross_shard_resumable(tmp_path):
     assert global_pairs() == pairs1  # byte-equal result after resume
 
 
-def test_streaming_writers_byte_parity(ray_session, tmp_path):
-    """The streaming .oie/.allennlp/.conj writers must be byte-identical
-    to the reference's whole-file writer semantics (model.py:609-702),
-    reimplemented naively here from the same rows — including duplicate
-    sentences (first-seen merge + cross-occurrence dedup) and
-    coordination splits."""
-    from openie_with_entities_ray.cli import (
-        _conj_stage,
-        _read_sentence_file,
-        _write_conj,
-        _write_oie_allennlp,
+def _staged_triples(splits):
+    """Per-occurrence dedup of ``splits`` by the staged kernels, an
+    implementation independent of the CLI's one kernel pass."""
+    from openie_with_entities_ray.stages.extract import OIEExtractor
+    from openie_with_entities_ray.stages.group import dedup_topk_grouped
+
+    raw = splits.drop_columns(["triples", "split_indices"]).map_batches(
+        OIEExtractor, fn_constructor_kwargs=dict(seed=777, no_lt=False),
+        batch_format="pyarrow", batch_size=512, concurrency=(1, 2),
     )
+    return dedup_topk_grouped(raw, None)
+
+
+def _naive_cli_outputs(splits, triples_ds):
+    """Naive whole-file replica of the reference writer semantics
+    (model.py:609-702): the expected .conj, .oie and .allennlp texts."""
     from openie_with_entities_ray.functions.triples import (
         Triple,
         ext_to_allennlp,
         ext_to_string,
     )
-    from openie_with_entities_ray.stages.extract import OIEExtractor
-    from openie_with_entities_ray.stages.group import dedup_topk_grouped
 
-    inp = tmp_path / "sents.txt"
-    inp.write_text(
-        "Alice , Bob and Carol founded Acme Corp in New York .\n"
-        "Dave , the CEO of Globex , acquired Initech .\n"
-        "Alice , Bob and Carol founded Acme Corp in New York .\n"
-        "The merger was approved by the board .\n"
-        "Dave , the CEO of Globex , acquired Initech .\n"
-    )
-    splits = _conj_stage(_read_sentence_file(str(inp)), 777, 512).materialize()
-    raw = splits.drop_columns(["conj_words", "split_indices"]).map_batches(
-        OIEExtractor, fn_constructor_kwargs=dict(seed=777, no_lt=False),
-        batch_format="pyarrow", batch_size=512, concurrency=(1, 2),
-    )
-    triples_ds = dedup_topk_grouped(raw, None)
-
-    # streamed output (the code under test)
-    _write_conj(splits, str(tmp_path / "got"))
-    _write_oie_allennlp(triples_ds, splits, str(tmp_path / "got"), "")
-
-    # naive whole-file replica of the reference writer semantics
     split_rows = sorted(
         splits.take_all(), key=lambda r: (r["sent_id"], r["split_id"])
     )
@@ -311,8 +293,106 @@ def test_streaming_writers_byte_parity(ray_session, tmp_path):
         oie_blocks.append(block)
     expect_oie = "\n".join(oie_blocks) + "\n"
     expect_allennlp = "".join(x + "\n" for x in allennlp_lines)
+    return expect_conj, expect_oie, expect_allennlp
 
+
+def _cli_args(*argv):
+    from openie_with_entities_ray.cli import build_parser
+
+    return build_parser().parse_args(list(argv))
+
+
+def test_streaming_writers_byte_parity(ray_session, tmp_path):
+    """The streaming .oie/.allennlp/.conj writers must be byte-identical
+    to the reference's whole-file writer semantics (model.py:609-702),
+    reimplemented naively here from the same rows — including duplicate
+    sentences (first-seen merge + cross-occurrence dedup) and
+    coordination splits."""
+    from openie_with_entities_ray.cli import (
+        _extract_rows,
+        _read_sentence_file,
+        _write_conj,
+        _write_oie_allennlp,
+    )
+
+    inp = tmp_path / "sents.txt"
+    inp.write_text(
+        "Alice , Bob and Carol founded Acme Corp in New York .\n"
+        "Dave , the CEO of Globex , acquired Initech .\n"
+        "Alice , Bob and Carol founded Acme Corp in New York .\n"
+        "The merger was approved by the board .\n"
+        "Dave , the CEO of Globex , acquired Initech .\n"
+    )
+    splits = _extract_rows(
+        _read_sentence_file(str(inp)),
+        _cli_args("--mode", "splitpredict", "--inp", str(inp)), None,
+    ).materialize()
+    triples_ds = _staged_triples(splits)
+
+    # streamed output (the code under test)
+    _write_conj(splits, str(tmp_path / "got"))
+    _write_oie_allennlp(splits, str(tmp_path / "got"), "")
+
+    expect_conj, expect_oie, expect_allennlp = _naive_cli_outputs(
+        splits, triples_ds
+    )
     assert (tmp_path / "got.conj").read_text() == expect_conj
+    assert (tmp_path / "got.oie").read_text() == expect_oie
+    assert (tmp_path / "got.allennlp").read_text() == expect_allennlp
+
+
+def test_split_fp_duplicate_sentence_byte_parity(ray_session, tmp_path):
+    """--split_fp: one original sentence in two blocks with different
+    splits. Each block is its own occurrence in .conj, and in .oie the
+    second occurrence's new triples land under the first block."""
+    from openie_with_entities_ray import cli
+
+    orig = "Alice , Bob and Carol founded Acme Corp in New York ."
+    split_fp = tmp_path / "splits.conj"
+    split_fp.write_text(
+        f"{orig}\nAlice founded Acme Corp in New York .\n"
+        "Bob founded Acme Corp in New York .\n\n"
+        "Dave , the CEO of Globex , acquired Initech .\n\n"
+        f"{orig}\nCarol founded Acme Corp in New York .\n"
+    )
+    args = _cli_args("--mode", "splitpredict", "--split_fp", str(split_fp),
+                     "--out", str(tmp_path / "got"))
+    cli.run_splitpredict(args)
+
+    splits = cli._extract_rows(cli._presplit_dataset(str(split_fp)), args,
+                               None).materialize()
+    expect_conj, expect_oie, expect_allennlp = _naive_cli_outputs(
+        splits, _staged_triples(splits)
+    )
+    assert (tmp_path / "got.conj").read_text() == expect_conj
+    assert (tmp_path / "got.oie").read_text() == expect_oie
+    assert (tmp_path / "got.allennlp").read_text() == expect_allennlp
+    first_block = expect_oie.split("\n\n")[0]
+    assert first_block.startswith(orig) and "(Carol;" in first_block
+
+
+def test_predict_oie_byte_parity(ray_session, tmp_path):
+    """--mode predict --task oie: every sentence is its own only split."""
+    from openie_with_entities_ray import cli
+
+    inp = tmp_path / "sents.txt"
+    inp.write_text(
+        "Alice , Bob and Carol founded Acme Corp in New York .\n"
+        "Dave , the CEO of Globex , acquired Initech .\n"
+        "Alice , Bob and Carol founded Acme Corp in New York .\n"
+    )
+    args = _cli_args("--mode", "predict", "--task", "oie", "--inp", str(inp),
+                     "--out", str(tmp_path / "got"))
+    cli.run_predict(args)
+
+    splits = cli._extract_rows(
+        cli._read_sentence_file(str(inp), identity_splits=True), args, None
+    ).materialize()
+    assert all(r["split_sentence"] == r["orig_sentence"]
+               for r in splits.take_all())
+    _, expect_oie, expect_allennlp = _naive_cli_outputs(
+        splits, _staged_triples(splits)
+    )
     assert (tmp_path / "got.oie").read_text() == expect_oie
     assert (tmp_path / "got.allennlp").read_text() == expect_allennlp
 

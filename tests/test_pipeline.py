@@ -448,8 +448,52 @@ def test_kernel_plans_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
     names = " ".join(op.name for op in operators)
     for kernel in ("FusedExtractor", "FusedExtractorWithEntities",
                    "ConjSplitter", "OIEExtractor", "EntityTagger",
-                   "_LabelProjector"):
+                   "SplitExtractor", "_LabelProjector"):
         assert f"MapBatches({kernel})" in names, kernel
     pools = [op.name for op in operators
              if isinstance(op, ActorPoolMapOperator)]
     assert not pools, pools
+
+
+def test_cli_splitpredict_plan_has_no_exchange(ray_session, monkeypatch,
+                                               tmp_path):
+    """The CLI's splitpredict is one kernel pass plus ordered writes: no
+    join, no grouped shuffle (per_part/merge/first_wins), at most three
+    executions (the materialized kernel table and the two sorted
+    writers)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from openie_with_entities_ray import cli
+
+    plans = []
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, dag, *args, **kwargs):
+        names, todo = [], [dag]
+        while todo:
+            op = todo.pop()
+            names.append(op.name)
+            todo.extend(op.input_dependencies)
+        plans.append(names)
+        return real_execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    inp = tmp_path / "sentences.txt"
+    inp.write_text("Alice , Bob and Carol founded Acme Corp in New York .\n"
+                   "Dave , the CEO of Globex , acquired Initech .\n"
+                   "Alice , Bob and Carol founded Acme Corp in New York .\n")
+    cli.run_splitpredict(cli.build_parser().parse_args(
+        ["--mode", "splitpredict", "--inp", str(inp),
+         "--out", str(tmp_path / "out")]
+    ))
+    oie = (tmp_path / "out.oie").read_text()
+    assert len(oie.strip("\n").split("\n\n")) == 2  # duplicates merge
+
+    names = " ".join(n for plan in plans for n in plan)
+    assert "MapBatches(SplitExtractor)" in names
+    for banned in ("Join", "per_part", "merge", "first_wins", "add_key",
+                   "add_part"):
+        assert banned not in names, (banned, plans)
+    assert len(plans) <= 3, plans
