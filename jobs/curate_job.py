@@ -168,8 +168,9 @@ def survivors_partition(clean_part_files, keeper_files):
     import ray.data
 
     from openie_with_entities_ray.stages.dataops import cluster_cpus
+    from openie_with_entities_ray.stages.exchange import exchange
     from openie_with_entities_ray.stages.joins import (
-        _PART,
+        _KEY,
         _SIDE,
         _conform_union,
         _to_pandas_exact,
@@ -195,10 +196,9 @@ def survivors_partition(clean_part_files, keeper_files):
         ),
         batch_format="pyarrow",
     )
-    union, _fields = _conform_union(
+    arms, _fields = _conform_union(
         clean, keepers,
         left_key="content_sha256", right_key="__keeper_sha",
-        num_parts=max(2, cluster_cpus() // 4),
     )
 
     def pick(batch: pa.Table) -> pa.Table:
@@ -224,10 +224,8 @@ def survivors_partition(clean_part_files, keeper_files):
             }
         )
 
-    return (
-        union.groupby(_PART)
-        .map_groups(pick, batch_format="pyarrow")
-    )
+    return exchange(arms, _KEY, pick, batch_format="pyarrow",
+                    num_parts=max(2, cluster_cpus() // 4))
 
 
 def write_report(survivor_files, out_dir: str) -> dict:

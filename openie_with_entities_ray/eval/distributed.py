@@ -3,11 +3,13 @@ groupby + per-sentence kernel + global sum (SURVEY.md A4/J3).
 
 The reference joins per-sentence gold and predicted extraction lists in
 driver memory (/root/reference/carb/carb.py:102-119). Here both sides are
-Datasets; rows are tagged with their side, unioned, hash-grouped on the
-normalized sentence key (carb.py:393-396 semantics), and each group emits
-one partial-counter row (zero-threshold point of the PR sweep: greedy
-one-to-one precision matching + per-gold max recall). A tiny driver sum
-finishes. Scales to arbitrarily many sentences — no corpus-wide dicts.
+Datasets; rows are tagged with their side, unioned, grouped per
+normalized sentence key (carb.py:393-396 semantics) with
+``stages/exchange.py:exchange_per_key`` (one Ray group per part, never
+per sentence), and each group emits one partial-counter row
+(zero-threshold point of the PR sweep: greedy one-to-one precision
+matching + per-gold max recall). A tiny driver sum finishes. Scales
+to arbitrarily many sentences — no corpus-wide dicts.
 """
 
 from __future__ import annotations
@@ -15,44 +17,9 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
+from ..stages.exchange import exchange_per_key
 from .benchmark import normalize_key
 from .matcher import MatchTuple, binary_linient_tuple_match
-
-
-def _per_sentence_partials(unioned, kernel):
-    """Run ``kernel`` once per sentence co-group via a coarse crc32
-    partition + an in-part pandas sub-group loop — one Ray group per
-    PART, never per sentence (~1 ms of Python per Ray group, measured).
-    The in-part sub-group key is the utf-8 BYTES of the sentence key
-    (pandas' str hashtable truncates at embedded NULs)."""
-    import zlib
-
-    import pyarrow as pa
-
-    from ..stages.dataops import _cluster_parts
-
-    num_parts = _cluster_parts()
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        parts = [
-            zlib.crc32(k.encode("utf-8")) % num_parts
-            for k in batch.column("sent_key").to_pylist()
-        ]
-        return batch.append_column("__epart", pa.array(parts, pa.int64()))
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(_k=[s.encode("utf-8") for s in g["sent_key"]])
-        outs = [
-            kernel(sub.drop(columns=["_k", "__epart"]))
-            for _, sub in g.groupby("_k", sort=False)
-        ]
-        return pd.concat(outs, ignore_index=True)
-
-    return (
-        unioned.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__epart")
-        .map_groups(per_part, batch_format="pandas")
-    )
 
 
 def _tag(ds, side: str):
@@ -172,9 +139,10 @@ def carb_sweep(gold_ds, pred_ds):
             }
         )
 
-    unioned = gold_ds.map_batches(tag_gold, batch_format="pyarrow").union(
-        pred_ds.map_batches(tag_pred, batch_format="pyarrow")
-    )
+    sides = [
+        gold_ds.map_batches(tag_gold, batch_format="pyarrow"),
+        pred_ds.map_batches(tag_pred, batch_format="pyarrow"),
+    ]
 
     def group_arrays(group: pd.DataFrame) -> pd.DataFrame:
         group = group.drop_duplicates(
@@ -206,7 +174,7 @@ def carb_sweep(gold_ds, pred_ds):
              "r": [r.tobytes()], "rl": [rl.tobytes()]}
         )
 
-    partials = _per_sentence_partials(unioned, group_arrays)
+    partials = exchange_per_key(sides, "sent_key", group_arrays)
     num_conf = len(thresholds)
 
     # Finish ON WORKERS: per-batch combiner sums the per-sentence byte
@@ -271,8 +239,8 @@ def carb_precision_recall(gold_ds, pred_ds):
     (precision, recall) at the zero-confidence threshold."""
     from ray.data.aggregate import Sum
 
-    unioned = _tag(gold_ds, "g").union(_tag(pred_ds, "p"))
-    partials = _per_sentence_partials(unioned, _group_counts)
+    sides = [_tag(gold_ds, "g"), _tag(pred_ds, "p")]
+    partials = exchange_per_key(sides, "sent_key", _group_counts)
     # tree-aggregate the four additive counters on workers — the driver
     # receives one row, never the per-sentence partials
     tot = partials.aggregate(

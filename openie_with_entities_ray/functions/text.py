@@ -53,18 +53,6 @@ def normalize_sentence(line: str) -> str:
     return " ".join(line.split())
 
 
-def append_markers(sentence: str) -> str:
-    """data.py:436-437."""
-    from .triples import MARKER_SUFFIX
-
-    return sentence + MARKER_SUFFIX
-
-
-def strip_markers(sentence: str) -> str:
-    """model.py:612-613: split on '[unused1]' and strip."""
-    return sentence.split("[unused1]")[0].strip()
-
-
 def within_length_limit(sentence: str) -> bool:
     """data.py:284 word-count guard (the <512-wordpiece guard is enforced by
     the model stage where a tokenizer exists)."""

@@ -29,7 +29,6 @@ NONE, ARG1, REL, ARG2, LOC_TIME, TYPE = 0, 1, 2, 3, 4, 5
 # Marker tokens appended to every sentence before labeling
 # (/root/reference/data.py:436-437; decode use model.py:612-613).
 MARKERS = ("[unused1]", "[unused2]", "[unused3]")
-MARKER_SUFFIX = " " + " ".join(MARKERS)
 
 # digits-only, unlike the reference's `\[unused(.*)\]` + int() which
 # crashes on adversarial content tokens like '[unusedfoo]' — an engine

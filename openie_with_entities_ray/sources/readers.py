@@ -395,28 +395,6 @@ def read_extractions(paths, fmt: str, raw_sents: str | None = None):
 # Ray Dataset constructors
 
 
-def read_gold_tsv(paths):
-    import ray.data
-
-    def parse(batch: pa.Table) -> pa.Table:
-        sents, rels, args = [], [], []
-        for line in batch.column("text").to_pylist():
-            rec = parse_gold_tsv_line(line)
-            if rec:
-                sents.append(rec[0])
-                rels.append(rec[1])
-                args.append(rec[2])
-        return pa.table(
-            {
-                "sentence": pa.array(sents, pa.string()),
-                "rel": pa.array(rels, pa.string()),
-                "args": pa.array(args, pa.list_(pa.string())),
-            }
-        )
-
-    return ray.data.read_text(paths).map_batches(parse, batch_format="pyarrow")
-
-
 def read_allennlp(paths):
     import ray.data
 
@@ -434,30 +412,6 @@ def read_allennlp(paths):
                 "rel": pa.array(cols["rel"], pa.string()),
                 "arg2": pa.array(cols["arg2"], pa.string()),
                 "confidence": pa.array(cols["confidence"], pa.float64()),
-            }
-        )
-
-    return ray.data.read_text(paths).map_batches(parse, batch_format="pyarrow")
-
-
-def read_tabbed(paths):
-    import ray.data
-
-    def parse(batch: pa.Table) -> pa.Table:
-        sents, confs, rels, args = [], [], [], []
-        for line in batch.column("text").to_pylist():
-            rec = parse_tabbed_line(line)
-            if rec:
-                sents.append(rec[0])
-                confs.append(rec[1])
-                rels.append(rec[2])
-                args.append(rec[3])
-        return pa.table(
-            {
-                "sentence": pa.array(sents, pa.string()),
-                "confidence": pa.array(confs, pa.float64()),
-                "rel": pa.array(rels, pa.string()),
-                "args": pa.array(args, pa.list_(pa.string())),
             }
         )
 
@@ -489,37 +443,6 @@ def read_conj_file(paths):
                 "split_id": pa.array(out_split, pa.int64()),
                 "orig_sentence": pa.array(out_orig, pa.string()),
                 "split_sentence": pa.array(out_sent, pa.string()),
-            }
-        )
-
-    return ray.data.read_binary_files(paths, include_paths=True).map_batches(
-        parse, batch_format="numpy"
-    )
-
-
-def read_labels_file(paths, task: str = "oie"):
-    """S2 → (path, sent_id, sentence, labels) rows."""
-    import ray.data
-
-    ids = OIE_LABEL_IDS if task == "oie" else CONJ_LABEL_IDS
-
-    def parse(batch) -> pa.Table:
-        out_path, out_sid, out_sent, out_labels = [], [], [], []
-        for path, data in zip(batch["path"].tolist(), list(batch["bytes"])):
-            text = bytes(data).decode("utf-8")
-            for sid, (sentence, rows) in enumerate(
-                parse_labels_blocks(text, ids)
-            ):
-                out_path.append(path)
-                out_sid.append(sid)
-                out_sent.append(sentence)
-                out_labels.append(rows)
-        return pa.table(
-            {
-                "path": pa.array(out_path, pa.string()),
-                "sent_id": pa.array(out_sid, pa.int64()),
-                "sentence": pa.array(out_sent, pa.string()),
-                "labels": pa.array(out_labels, pa.list_(pa.list_(pa.int8()))),
             }
         )
 

@@ -25,6 +25,8 @@ from collections import Counter
 
 import pyarrow as pa
 
+from .exchange import exchange
+
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
@@ -93,9 +95,9 @@ def _partial_counts(batch: pa.Table) -> pa.Table:
 def canonicalize_surfaces(triples_ds, num_parts: int | None = None):
     """triples → nodes table (node_id, surface_norm, surface, n_mentions).
 
-    Two-phase aggregate: map_batches partials (combiner) → coarse
-    crc32 hash partition → ONE vectorized pandas aggregate per part.
-    The 'surface' kept per canonical id is the lexicographic min of the
+    Two-phase aggregate: per-batch partials (combiner) → ``exchange``
+    on the surface → ONE vectorized pandas aggregate per part. The
+    'surface' kept per canonical id is the lexicographic min of the
     per-batch examples (deterministic under any partitioning).
 
     Entity-tagged triples (subj_ents/obj_ents columns present) follow
@@ -111,22 +113,12 @@ def canonicalize_surfaces(triples_ds, num_parts: int | None = None):
     utf-8 BYTES of the surface (pandas' string hashtable truncates at
     embedded NULs and would merge distinct surfaces from adversarial
     content)."""
-    import zlib
-
     import pandas as pd
 
-    from .dataops import _cluster_parts
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
+    # a named wrapper: the Ray operator is called ``partial``, and the
+    # module-global lookup keeps ``_partial_counts`` patchable
     def partial(batch: pa.Table) -> pa.Table:
-        t = _partial_counts(batch)
-        parts = [
-            zlib.crc32(s.encode("utf-8")) % num_parts
-            for s in t.column("surface_norm").to_pylist()
-        ]
-        return t.append_column("part", pa.array(parts, pa.int64()))
+        return _partial_counts(batch)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         g = g.assign(
@@ -139,11 +131,8 @@ def canonicalize_surfaces(triples_ds, num_parts: int | None = None):
         )
         return out.drop(columns=["_k"])
 
-    agg = (
-        triples_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    agg = exchange(triples_ds, "surface_norm", merge, combine=partial,
+                   num_parts=num_parts)
 
     def finalize(batch: pa.Table) -> pa.Table:
         norms = batch.column("surface_norm").to_pylist()
@@ -171,14 +160,7 @@ def predicate_frequencies(triples_ds, num_parts: int | None = None):
     count, sorted desc. Same combiner → coarse-partition merge shape as
     :func:`canonicalize_surfaces` (one Ray group per PART, not per
     distinct predicate; NUL-safe bytes group key inside the part)."""
-    import zlib
-
     import pandas as pd
-
-    from .dataops import _cluster_parts
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
@@ -191,13 +173,6 @@ def predicate_frequencies(triples_ds, num_parts: int | None = None):
             {
                 "rel_norm": pa.array(norms, pa.string()),
                 "n": pa.array([counts[x] for x in norms], pa.int64()),
-                "part": pa.array(
-                    [
-                        zlib.crc32(x.encode("utf-8")) % num_parts
-                        for x in norms
-                    ],
-                    pa.int64(),
-                ),
             }
         )
 
@@ -208,9 +183,6 @@ def predicate_frequencies(triples_ds, num_parts: int | None = None):
         )
         return out.drop(columns=["_k"])
 
-    return (
-        triples_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
-        .sort("n", descending=True)
-    )
+    return exchange(
+        triples_ds, "rel_norm", merge, combine=partial, num_parts=num_parts
+    ).sort("n", descending=True)

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 
 import pyarrow as pa
 
+from .exchange import exchange
+
 
 _CANON_MEMO: dict = {}  # per-worker-process memo: surfaces are Zipf
+_EDGE_KEY = ["src", "rel", "dst"]
 
 
 def triples_to_edges(batch: pa.Table) -> pa.Table:
@@ -83,48 +85,23 @@ def dedup_edges(edges_ds, num_parts: int | None = None):
     """Corpus-level exact edge dedup (SURVEY.md §2.8): keep the
     max-confidence witness per (src, rel, dst).
 
-    Scale shape: coarse hash partition of the edge key (cluster-scaled
-    part count — the ``distinct_pairs`` idiom, dataops.py:121) and ONE
-    vectorized pandas sort + ``groupby(edge_key).head(1)`` inside each
-    part. Never ``groupby(edge_key)`` directly: Ray pays ~1 ms of Python
-    per aggregate group (measured, BASELINE.md tail), so one Ray group
-    per distinct edge walls at ~1e6 s for 1e9 distinct edges; this shape
-    pays #parts group calls regardless of corpus size."""
-    from .dataops import _cluster_parts
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    def key(batch: pa.Table) -> pa.Table:
-        # crc32 over the composite key bytes: a PARTITION key only needs
-        # co-location (a collision is harmless), but it reuses the same
-        # injective encoding as the group key
-        from .dataops import composite_key_bytes
-
-        keys = composite_key_bytes(
-            batch.column("src").to_pylist(),
-            batch.column("rel").to_pylist(),
-            batch.column("dst").to_pylist(),
-        )
-        parts = [zlib.crc32(k) % num_parts for k in keys]
-        return batch.append_column("edge_part", pa.array(parts, pa.int64()))
-
-    def first_per_key(group):
-        return best_edge_per_key(group).drop(columns=["edge_part"])
-
-    return (
-        # per-batch partial dedup BEFORE the shuffle (the combiner shape):
-        # duplicate edges are heavily batch-local (same doc/sentence), so
-        # the sort moves ~distinct rows instead of the full edge table.
-        # Safe because best-row-per-key selection under a total row order
-        # is associative (property-tested against the shipped kernel).
-        edges_ds.map_batches(
-            best_edge_per_key, batch_format="pandas", batch_size=65536
-        )
-        .map_batches(key, batch_format="pyarrow")
-        .groupby("edge_part")
-        .map_groups(first_per_key, batch_format="pandas")
+    Scale shape: ``exchange`` on the edge key (cluster-scaled part
+    count) and ONE vectorized pandas sort + ``groupby(edge_key).head(1)``
+    inside each part. Never ``groupby(edge_key)`` directly: Ray pays
+    ~1 ms of Python per aggregate group (measured, BASELINE.md tail),
+    so one Ray group per distinct edge walls at ~1e6 s for 1e9 distinct
+    edges; this shape pays #parts group calls regardless of corpus
+    size."""
+    # per-batch partial dedup BEFORE the shuffle (the combiner shape):
+    # duplicate edges are heavily batch-local (same doc/sentence), so
+    # the sort moves ~distinct rows instead of the full edge table.
+    # Safe because best-row-per-key selection under a total row order
+    # is associative (property-tested against the shipped kernel).
+    partial = edges_ds.map_batches(
+        best_edge_per_key, batch_format="pandas", batch_size=65536
     )
+    return exchange(partial, _EDGE_KEY, best_edge_per_key,
+                    num_parts=num_parts)
 
 
 def edge_provenance(edges_ds, *, k: int = 3, num_parts: int | None = None):
@@ -135,14 +112,11 @@ def edge_provenance(edges_ds, *, k: int = 3, num_parts: int | None = None):
     stopword edge still emits one row carrying k refs).
 
     Combiner shape: within-batch partial (count + k-smallest witness
-    strings per edge) → coarse crc32(edge key) partition → in-part
+    strings per edge) → ``exchange`` on the edge key → in-part
     pandas merge (sum counts; union the ≤ k·batches candidate refs,
     re-sort, slice k). k-min of a union of per-batch k-mins is the
     global k-min, so the result is partition-invariant."""
-    from .dataops import _cluster_parts, composite_key_bytes
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
+    from .dataops import composite_key_bytes
 
     def partial(batch: pa.Table) -> pa.Table:
         agg: dict = {}
@@ -158,7 +132,7 @@ def edge_provenance(edges_ds, *, k: int = 3, num_parts: int | None = None):
             ent[0] += 1
             ent[1].append(f"{rp}:{pt}:{si}")
         keys = sorted(agg)
-        tbl = pa.table(
+        return pa.table(
             {
                 "src": pa.array([x[0] for x in keys], pa.string()),
                 "rel": pa.array([x[1] for x in keys], pa.string()),
@@ -170,15 +144,6 @@ def edge_provenance(edges_ds, *, k: int = 3, num_parts: int | None = None):
                 ),
             }
         )
-        parts = [
-            zlib.crc32(kk) % num_parts
-            for kk in composite_key_bytes(
-                tbl.column("src").to_pylist(),
-                tbl.column("rel").to_pylist(),
-                tbl.column("dst").to_pylist(),
-            )
-        ]
-        return tbl.append_column("part", pa.array(parts, pa.int64()))
 
     def merge(g):
         g = g.assign(
@@ -194,11 +159,8 @@ def edge_provenance(edges_ds, *, k: int = 3, num_parts: int | None = None):
         out["witnesses"] = [",".join(ws) for ws in out["wits"]]
         return out[["src", "rel", "dst", "n_witnesses", "witnesses"]]
 
-    return (
-        edges_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(edges_ds, _EDGE_KEY, merge, combine=partial,
+                    num_parts=num_parts)
 
 
 def kg_snapshot_diff(edges_a, edges_b, *, num_parts: int | None = None):
@@ -210,21 +172,13 @@ def kg_snapshot_diff(edges_a, edges_b, *, num_parts: int | None = None):
     and both sides' conf (NULL where absent, nullable Int64 — see the
     int64 round-trip memory note).
 
-    Shape: tag each side, union, ONE coarse crc32(edge key) exchange,
+    Shape: tag each side, union, ONE ``exchange`` on the edge key,
     in-part vectorized pandas outer merge — unchanged keys die inside
     their part, so only the diff leaves the exchange."""
-    from .dataops import _cluster_parts, composite_key_bytes
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
+    from .dataops import composite_key_bytes
 
     def tag(side: str):
         def fn(batch: pa.Table) -> pa.Table:
-            keys = composite_key_bytes(
-                batch.column("src").to_pylist(),
-                batch.column("rel").to_pylist(),
-                batch.column("dst").to_pylist(),
-            )
             return pa.table(
                 {
                     "src": batch.column("src"),
@@ -232,10 +186,6 @@ def kg_snapshot_diff(edges_a, edges_b, *, num_parts: int | None = None):
                     "dst": batch.column("dst"),
                     "conf_centi": batch.column("conf_centi"),
                     "side": pa.array([side] * batch.num_rows, pa.string()),
-                    "part": pa.array(
-                        [zlib.crc32(k) % num_parts for k in keys],
-                        pa.int64(),
-                    ),
                 }
             )
 
@@ -280,12 +230,11 @@ def kg_snapshot_diff(edges_a, edges_b, *, num_parts: int | None = None):
             }
         )
 
-    return (
-        edges_a.map_batches(tag("a"), batch_format="pyarrow")
-        .union(edges_b.map_batches(tag("b"), batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(diff_part, batch_format="pandas")
-    )
+    arms = [
+        edges_a.map_batches(tag("a"), batch_format="pyarrow"),
+        edges_b.map_batches(tag("b"), batch_format="pyarrow"),
+    ]
+    return exchange(arms, _EDGE_KEY, diff_part, num_parts=num_parts)
 
 
 # Tie-break columns forming a TOTAL order over witness rows: every

@@ -18,15 +18,9 @@ Two implementations of the same fixpoint:
   touches the driver; per-round label tables are materialized (spill to
   the object store) so the lineage does not grow with iterations.
 
-KNOWN DUPLICATION (accepted): pagerank_join, label_propagation_join,
-kcore_join, triangle_count and common_neighbors_topk each inline a
-variant of the same canonical-distinct-edges prologue (per-batch
-pre-dedup → crc32 coarse partition → in-part drop_duplicates). The
-variants genuinely differ (self-loop handling, a<b vs both-direction
-canonicalization, carried columns), and each is pinned by its own
-SQL-oracle gate — a shared helper was deliberately deferred rather
-than risk a five-algorithm regression in one change; factor it out
-next time any ONE of them needs touching, with all five gates green.
+Every coarse shuffle here is ``stages/exchange.py:exchange``; the
+distinct-pair prologue and the per-node count that several algorithms
+share are :func:`_distinct_pairs` and :func:`_node_counts`.
 """
 
 from __future__ import annotations
@@ -35,52 +29,102 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import exchange
 
-def node_degrees(edges_ds, src: str = "src", dst: str = "dst",
-                 num_parts: int | None = None):
-    """Degree per node (in+out): per-batch combiner → coarse crc32
-    partition → vectorized pandas sum per part (one Ray group per PART,
-    never per node; NUL-safe bytes group key inside the part)."""
-    import zlib
-    from collections import Counter
 
-    from .dataops import _cluster_parts
+def _directed(u, v):
+    return ((u, v),)
 
-    if num_parts is None:
-        num_parts = _cluster_parts()
 
-    def partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for col in (src, dst):
-            for v in batch.column(col).to_pylist():
-                counts[v] += 1
-        nodes = list(counts)
+def _both_ways(u, v):
+    """Both directions of an edge; a self-loop contributes nothing."""
+    return () if u == v else ((u, v), (v, u))
+
+
+def _canonical(u, v):
+    """The undirected edge as its (smaller, larger) pair; a self-loop
+    contributes nothing."""
+    return () if u == v else (((u, v) if u < v else (v, u)),)
+
+
+def _distinct_pairs(edges_ds, src: str, dst: str, pairs_of, cols,
+                    num_parts: int | None):
+    """Materialized DISTINCT node pairs of the edge table, as string
+    columns ``cols``: ``pairs_of(u, v)`` maps one edge to the pairs it
+    contributes (:func:`_directed`, :func:`_both_ways`,
+    :func:`_canonical`). Per-batch pre-dedup (combiner) → ``exchange``
+    on the pair → in-part drop_duplicates on NUL-safe bytes keys."""
+    a, b = cols
+
+    def pair_partial(batch: pa.Table) -> pa.Table:
+        pairs = sorted(
+            {
+                p
+                for u, v in zip(
+                    batch.column(src).to_pylist(),
+                    batch.column(dst).to_pylist(),
+                )
+                for p in pairs_of(u, v)
+            }
+        )
         return pa.table(
             {
-                "node_id": pa.array(nodes, pa.string()),
-                "degree": pa.array([counts[n] for n in nodes], pa.int64()),
-                "part": pa.array(
-                    [
-                        zlib.crc32(n.encode("utf-8")) % num_parts
-                        for n in nodes
-                    ],
-                    pa.int64(),
-                ),
+                a: pa.array([p[0] for p in pairs], pa.string()),
+                b: pa.array([p[1] for p in pairs], pa.string()),
             }
         )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(_k=[n.encode("utf-8") for n in g["node_id"]])
-        out = g.groupby("_k", as_index=False).agg(
-            node_id=("node_id", "first"), degree=("degree", "sum")
+    def pair_dedup(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.assign(
+            _k=[
+                (x.encode("utf-8"), y.encode("utf-8"))
+                for x, y in zip(g[a], g[b])
+            ]
         )
-        return out.drop(columns=["_k"])
+        return g.drop_duplicates("_k")[[a, b]].reset_index(drop=True)
 
-    return (
-        edges_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(
+        edges_ds.select_columns([src, dst]), [a, b], pair_dedup,
+        combine=pair_partial, num_parts=num_parts,
+    ).materialize()
+
+
+def _node_counts(ds, cols, node: str, count: str,
+                 num_parts: int | None = None):
+    """(``node``, ``count``): how often each node appears across the
+    string columns ``cols``. Per-batch Counter (combiner) →
+    ``exchange`` on the node → vectorized pandas sum per part (one Ray
+    group per PART, never per node; NUL-safe bytes group key)."""
+    from collections import Counter
+
+    def count_partial(batch: pa.Table) -> pa.Table:
+        counts: Counter = Counter()
+        for c in cols:
+            counts.update(batch.column(c).to_pylist())
+        ks = list(counts)
+        return pa.table(
+            {
+                node: pa.array(ks, pa.string()),
+                count: pa.array([counts[k] for k in ks], pa.int64()),
+            }
+        )
+
+    def count_merge(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.assign(_k=[n.encode("utf-8") for n in g[node]])
+        out = g.groupby("_k", as_index=False).agg(
+            **{node: (node, "first"), count: (count, "sum")}
+        )
+        return out[[node, count]]
+
+    return exchange(ds, node, count_merge, combine=count_partial,
+                    num_parts=num_parts)
+
+
+def node_degrees(edges_ds, src: str = "src", dst: str = "dst",
+                 num_parts: int | None = None):
+    """Degree per node (in+out), as (node_id, degree)."""
+    return _node_counts(edges_ds, (src, dst), "node_id", "degree",
+                        num_parts)
 
 
 def connected_components(
@@ -176,13 +220,10 @@ def connected_components_join(
     (node_id, label) counts changed rows for convergence. Returns a
     Dataset (node_id, component); same deterministic result as
     :func:`connected_components` (lexicographic-min component ids)."""
-    import zlib
-
     import ray
 
-    from .dataops import _cluster_parts, cluster_cpus
+    from .dataops import cluster_cpus
 
-    num_parts = _cluster_parts()
     num_join_parts = max(2, cluster_cpus() // 4)
 
     # doubled adjacency (node, nbr): propagate both directions
@@ -221,36 +262,17 @@ def connected_components_join(
             }
         )
 
-    def min_per_node(cands):
-        def add_part(batch: pa.Table) -> pa.Table:
-            parts = [
-                zlib.crc32(n.encode("utf-8")) % num_parts
-                for n in batch.column("node_id").to_pylist()
-            ]
-            return pa.table(
-                {
-                    "node_id": batch.column("node_id"),
-                    "label": batch.column("label"),
-                    "part": pa.array(parts, pa.int64()),
-                }
-            )
-
-        def part_min(g: pd.DataFrame) -> pd.DataFrame:
-            # bytes group key (NUL-safe in pandas' object hashtable)
-            g = g.assign(_k=[n.encode("utf-8") for n in g["node_id"]])
-            out = g.groupby("_k", as_index=False).agg(
-                node_id=("node_id", "first"), label=("label", "min")
-            )
-            return out.drop(columns=["_k"])
-
-        return (
-            cands.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(part_min, batch_format="pandas")
+    def part_min(g: pd.DataFrame) -> pd.DataFrame:
+        # bytes group key (NUL-safe in pandas' object hashtable)
+        g = g.assign(_k=[n.encode("utf-8") for n in g["node_id"]])
+        out = g.groupby("_k", as_index=False).agg(
+            node_id=("node_id", "first"), label=("label", "min")
         )
+        return out.drop(columns=["_k"])
 
-    labels = min_per_node(
-        adj.map_batches(init_labels, batch_format="pyarrow")
+    labels = exchange(
+        adj.map_batches(init_labels, batch_format="pyarrow"), "node_id",
+        part_min,
     ).materialize()
 
     # A hash-join partition that receives ZERO rows on a side is built
@@ -284,8 +306,9 @@ def connected_components_join(
             on=("nbr",),
             right_on=("__lbl_node",),
         ).select_columns(["node_id", "label"])
-        new_labels = min_per_node(
-            nbr_labels.union(labels.select_columns(["node_id", "label"]))
+        new_labels = exchange(
+            [nbr_labels, labels.select_columns(["node_id", "label"])],
+            "node_id", part_min,
         ).materialize()
         changed = new_labels.join(
             labels,
@@ -327,63 +350,17 @@ def pagerank_join(
     extra all-reduce — and the oracle mirrors the same choice).
 
     Shapes: distinct-edges and out-degrees computed once (per-batch
-    combiner → coarse crc32 partition, one Ray group per PART, never per
-    node); per round one hash join (adjacency-with-degree ⋈ pr on src)
-    and one coarse-partitioned per-dst sum; nodes with no in-edges get
+    combiner → ``exchange``, one Ray group per PART, never per node);
+    per round one hash join (adjacency-with-degree ⋈ pr on src) and
+    one coarse-partitioned per-dst sum; nodes with no in-edges get
     their base term via a UNION of zero rows instead of an outer join.
     Returns a Dataset (node_id, pr_scaled)."""
-    import zlib
-
     import ray.data
 
-    from .dataops import _cluster_parts, cluster_cpus
+    from .dataops import cluster_cpus
 
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    # --- distinct (src, dst): combiner → coarse partition → per-part dedup
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        pairs = sorted(
-            set(
-                zip(
-                    batch.column(src).to_pylist(),
-                    batch.column(dst).to_pylist(),
-                )
-            )
-        )
-        return pa.table(
-            {
-                "src": pa.array([p[0] for p in pairs], pa.string()),
-                "dst": pa.array([p[1] for p in pairs], pa.string()),
-                "part": pa.array(
-                    [
-                        (zlib.crc32(a.encode()) + zlib.crc32(b.encode()))
-                        % num_parts
-                        for a, b in pairs
-                    ],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def pair_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(
-            _k=[
-                (a.encode("utf-8"), b.encode("utf-8"))
-                for a, b in zip(g["src"], g["dst"])
-            ]
-        )
-        return (
-            g.drop_duplicates("_k")[["src", "dst"]].reset_index(drop=True)
-        )
-
-    ed = (
-        edges_ds.select_columns([src, dst])
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pair_dedup, batch_format="pandas")
-        .materialize()
-    )
+    ed = _distinct_pairs(edges_ds, src, dst, _directed, ("src", "dst"),
+                         num_parts)
 
     empty = pa.table(
         {
@@ -395,62 +372,14 @@ def pagerank_join(
         return ray.data.from_arrow(empty)
 
     # --- nodes (distinct endpoints) and out-degrees, one pass each
-    def node_partial(batch: pa.Table) -> pa.Table:
-        nodes = sorted(
-            set(batch.column("src").to_pylist())
-            | set(batch.column("dst").to_pylist())
-        )
-        return pa.table(
-            {
-                "node_id": pa.array(nodes, pa.string()),
-                "part": pa.array(
-                    [zlib.crc32(n.encode()) % num_parts for n in nodes],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def node_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(_k=[n.encode("utf-8") for n in g["node_id"]])
-        return g.drop_duplicates("_k")[["node_id"]].reset_index(drop=True)
-
     nodes = (
-        ed.map_batches(node_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(node_dedup, batch_format="pandas")
+        _node_counts(ed, ("src", "dst"), "node_id", "n", num_parts)
+        .select_columns(["node_id"])
         .materialize()
     )
     n_nodes = nodes.count()
-
-    # ed is already distinct, so a per-batch src count is a valid partial
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        counts = Counter(batch.column("src").to_pylist())
-        ks = list(counts)
-        return pa.table(
-            {
-                "src": pa.array(ks, pa.string()),
-                "d": pa.array([counts[k] for k in ks], pa.int64()),
-                "part": pa.array(
-                    [zlib.crc32(k.encode()) % num_parts for k in ks],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def deg_merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(_k=[n.encode("utf-8") for n in g["src"]])
-        out = g.groupby("_k", as_index=False).agg(
-            src=("src", "first"), d=("d", "sum")
-        )
-        return out.drop(columns=["_k"])
-
-    outdeg = (
-        ed.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(deg_merge, batch_format="pandas")
-    )
+    # ed is already distinct, so a src's row count is its out-degree
+    outdeg = _node_counts(ed, ("src",), "src", "d", num_parts)
 
     # adjacency with the degree attached once (outdeg is static):
     # (src, dst, d) — per-round work is then ONE join on src
@@ -499,11 +428,8 @@ def pagerank_join(
         g = df.assign(_k=[x.encode("utf-8") for x in df["dst"]]).groupby(
             "_k", as_index=False
         ).agg(node_id=("dst", "first"), s=("s", "sum"))
-        g["part"] = [
-            zlib.crc32(k) % num_parts for k in g["_k"]
-        ]
         return pa.Table.from_pandas(
-            g[["node_id", "s", "part"]], preserve_index=False
+            g[["node_id", "s"]], preserve_index=False
         )
 
     def sum_per_node(g: pd.DataFrame) -> pd.DataFrame:
@@ -527,28 +453,9 @@ def pagerank_join(
             on=("src",),
             right_on=("__pr_node",),
         ).map_batches(contrib_partial, batch_format="pyarrow")
-        zero_parted = zeros.map_batches(
-            lambda b: pa.table(
-                {
-                    "node_id": b.column("node_id"),
-                    "s": b.column("s"),
-                    "part": pa.array(
-                        [
-                            zlib.crc32(n.encode()) % num_parts
-                            for n in b.column("node_id").to_pylist()
-                        ],
-                        pa.int64(),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        pr = (
-            contribs.union(zero_parted)
-            .groupby("part")
-            .map_groups(sum_per_node, batch_format="pandas")
-            .materialize()
-        )
+        pr = exchange(
+            [contribs, zeros], "node_id", sum_per_node, num_parts=num_parts
+        ).materialize()
 
     return pr.map_batches(
         lambda b: pa.table(
@@ -584,63 +491,17 @@ def label_propagation_join(
     Fixed ``iterations`` rounds; returns (node_id, label).
 
     Shapes: distinct both-direction neighbor pairs once (combiner →
-    coarse crc32 partition); per round ONE hash join (neighbors ⋈
+    ``exchange``); per round ONE hash join (neighbors ⋈
     labels on src) and one coarse-partitioned per-dst vote count —
     never one Ray group per node. Both directions are materialized, so
     every node appears as dst and the inner join covers all nodes (no
     zero-row union needed)."""
-    import zlib
-
     import ray.data
 
-    from .dataops import _cluster_parts, cluster_cpus
+    from .dataops import cluster_cpus
 
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        pairs = set()
-        for a, b in zip(
-            batch.column(src).to_pylist(), batch.column(dst).to_pylist()
-        ):
-            if a == b:
-                continue
-            pairs.add((a, b))
-            pairs.add((b, a))
-        ps = sorted(pairs)
-        return pa.table(
-            {
-                "src": pa.array([p[0] for p in ps], pa.string()),
-                "dst": pa.array([p[1] for p in ps], pa.string()),
-                "part": pa.array(
-                    [
-                        (zlib.crc32(a.encode()) + zlib.crc32(b.encode()))
-                        % num_parts
-                        for a, b in ps
-                    ],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def pair_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(
-            _k=[
-                (a.encode("utf-8"), b.encode("utf-8"))
-                for a, b in zip(g["src"], g["dst"])
-            ]
-        )
-        return (
-            g.drop_duplicates("_k")[["src", "dst"]].reset_index(drop=True)
-        )
-
-    und = (
-        edges_ds.select_columns([src, dst])
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pair_dedup, batch_format="pandas")
-        .materialize()
-    )
+    und = _distinct_pairs(edges_ds, src, dst, _both_ways, ("src", "dst"),
+                          num_parts)
     if und.count() == 0:
         return ray.data.from_arrow(
             pa.table(
@@ -652,26 +513,9 @@ def label_propagation_join(
         )
 
     # both directions exist, so distinct src IS the node set
-    def node_partial(batch: pa.Table) -> pa.Table:
-        nodes = sorted(set(batch.column("src").to_pylist()))
-        return pa.table(
-            {
-                "node_id": pa.array(nodes, pa.string()),
-                "part": pa.array(
-                    [zlib.crc32(n.encode()) % num_parts for n in nodes],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def node_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(_k=[n.encode("utf-8") for n in g["node_id"]])
-        return g.drop_duplicates("_k")[["node_id"]].reset_index(drop=True)
-
     nodes = (
-        und.map_batches(node_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(node_dedup, batch_format="pandas")
+        _node_counts(und, ("src",), "node_id", "n", num_parts)
+        .select_columns(["node_id"])
         .materialize()
     )
     n_nodes = nodes.count()
@@ -698,9 +542,8 @@ def label_propagation_join(
             node_id=("dst", "first"), label=("label", "first"),
             c=("label", "size"),
         )
-        g["part"] = [zlib.crc32(k) % num_parts for k in g["_kn"]]
         return pa.Table.from_pandas(
-            g[["node_id", "label", "c", "part"]], preserve_index=False
+            g[["node_id", "label", "c"]], preserve_index=False
         )
 
     def vote_finish(g: pd.DataFrame) -> pd.DataFrame:
@@ -718,27 +561,25 @@ def label_propagation_join(
         return agg.drop_duplicates("_kn")[["node_id", "label"]]
 
     for _ in range(iterations):
-        labels = (
-            und.join(
-                labels.map_batches(
-                    lambda b: pa.table(
-                        {
-                            "__lp_node": b.column("node_id"),
-                            "label": b.column("label"),
-                        }
-                    ),
-                    batch_format="pyarrow",
+        votes = und.join(
+            labels.map_batches(
+                lambda b: pa.table(
+                    {
+                        "__lp_node": b.column("node_id"),
+                        "label": b.column("label"),
+                    }
                 ),
-                join_type="inner",
-                num_partitions=num_join_parts,
-                on=("src",),
-                right_on=("__lp_node",),
-            )
-            .map_batches(vote_partial, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(vote_finish, batch_format="pandas")
-            .materialize()
+                batch_format="pyarrow",
+            ),
+            join_type="inner",
+            num_partitions=num_join_parts,
+            on=("src",),
+            right_on=("__lp_node",),
         )
+        labels = exchange(
+            votes, "node_id", vote_finish, combine=vote_partial,
+            num_parts=num_parts,
+        ).materialize()
 
     return labels
 
@@ -755,8 +596,8 @@ def kcore_join(
     peel converges within ``rounds`` this IS the k-core. Returns
     (node_id, deg) — final degrees over the surviving edge set.
 
-    Shapes: distinct both-direction pairs once (combiner → coarse
-    crc32 partition, as :func:`label_propagation_join`); per round
+    Shapes: distinct both-direction pairs once (combiner →
+    ``exchange``, as :func:`label_propagation_join`); per round
     exactly TWO coarse co-group exchanges and no native hash join
     (Ray's join pays tens of seconds of fixed cost per call —
     measured: the join formulation of this loop ran 9.5 min on the
@@ -768,58 +609,10 @@ def kcore_join(
     pre-round edge set, which is exactly the synchronous peel. Never
     a broadcast node set (at KG scale survivors outgrow any driver
     list)."""
-    import zlib
-
     import ray.data
 
-    from .dataops import _cluster_parts, cluster_cpus
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        pairs = set()
-        for a, b in zip(
-            batch.column(src).to_pylist(), batch.column(dst).to_pylist()
-        ):
-            if a == b:
-                continue
-            pairs.add((a, b))
-            pairs.add((b, a))
-        ps = sorted(pairs)
-        return pa.table(
-            {
-                "src": pa.array([p[0] for p in ps], pa.string()),
-                "dst": pa.array([p[1] for p in ps], pa.string()),
-                "part": pa.array(
-                    [
-                        (zlib.crc32(a.encode()) + zlib.crc32(b.encode()))
-                        % num_parts
-                        for a, b in ps
-                    ],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def pair_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(
-            _k=[
-                (a.encode("utf-8"), b.encode("utf-8"))
-                for a, b in zip(g["src"], g["dst"])
-            ]
-        )
-        return (
-            g.drop_duplicates("_k")[["src", "dst"]].reset_index(drop=True)
-        )
-
-    und = (
-        edges_ds.select_columns([src, dst])
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pair_dedup, batch_format="pandas")
-        .materialize()
-    )
+    und = _distinct_pairs(edges_ds, src, dst, _both_ways, ("src", "dst"),
+                          num_parts)
 
     empty = pa.table(
         {
@@ -829,36 +622,6 @@ def kcore_join(
     )
     if und.count() == 0:
         return ray.data.from_arrow(empty)
-
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        counts = Counter(batch.column("src").to_pylist())
-        ks = sorted(counts)
-        return pa.table(
-            {
-                "node_id": pa.array(ks, pa.string()),
-                "deg": pa.array([counts[x] for x in ks], pa.int64()),
-                "part": pa.array(
-                    [zlib.crc32(x.encode()) % num_parts for x in ks],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def deg_merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(_k=[x.encode("utf-8") for x in g["node_id"]])
-        out = g.groupby("_k", as_index=False).agg(
-            node_id=("node_id", "first"), deg=("deg", "sum")
-        )
-        return out[["node_id", "deg"]]
-
-    def degrees(e):
-        return (
-            e.map_batches(deg_partial, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(deg_merge, batch_format="pandas")
-        )
 
     def stamp_src_ok(g: pd.DataFrame) -> pd.DataFrame:
         # part keyed by src: every edge of each src is here, so its
@@ -872,9 +635,6 @@ def kcore_join(
         deg = g.groupby("_sk")["_sk"].transform("size")
         out = g[["src", "dst"]].reset_index(drop=True)
         out["src_ok"] = (deg >= k).to_numpy()
-        out["part"] = [
-            zlib.crc32(x.encode("utf-8")) % num_parts for x in out["dst"]
-        ]
         return out
 
     def filter_dst(g: pd.DataFrame) -> pd.DataFrame:
@@ -885,43 +645,19 @@ def kcore_join(
         dk = [x.encode("utf-8") for x in g["dst"]]
         g = g.assign(_dk=dk)
         deg = g.groupby("_dk")["_dk"].transform("size")
-        out = g[(deg >= k) & g["src_ok"]][["src", "dst"]].reset_index(
+        return g[(deg >= k) & g["src_ok"]][["src", "dst"]].reset_index(
             drop=True
         )
-        out["part"] = [
-            zlib.crc32(x.encode("utf-8")) % num_parts for x in out["src"]
-        ]
-        return out
 
-    # seed the first exchange: partition by src
-    def part_by_src(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": batch.column("src"),
-                "dst": batch.column("dst"),
-                "part": pa.array(
-                    [
-                        zlib.crc32(x.encode("utf-8")) % num_parts
-                        for x in batch.column("src").to_pylist()
-                    ],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    und = und.map_batches(part_by_src, batch_format="pyarrow")
     for _ in range(rounds):
-        und = (
-            und.groupby("part")
-            .map_groups(stamp_src_ok, batch_format="pandas")
-            .groupby("part")
-            .map_groups(filter_dst, batch_format="pandas")
-            .materialize()
-        )
+        stamped = exchange(und, "src", stamp_src_ok, num_parts=num_parts)
+        und = exchange(
+            stamped, "dst", filter_dst, num_parts=num_parts
+        ).materialize()
         if und.count() == 0:
             return ray.data.from_arrow(empty)
 
-    return degrees(und.select_columns(["src", "dst"]))
+    return _node_counts(und, ("src",), "node_id", "deg", num_parts)
 
 
 def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
@@ -939,103 +675,30 @@ def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
        O(sum deg^2), unbounded under skew);
     4. wedges per tail (out-neighbor pairs ordered by (deg, id),
        vectorized numpy pair expansion per part);
-    5. wedge ⋈ oriented-edge on the (head1, head2) pair — via the
-       tagged co-group (joins.py), not the native join: the wedge side
+    5. wedge ⋈ oriented-edge on the (head1, head2) pair — via a
+       side-tagged ``exchange``, not the native join: the wedge side
        is legitimately EMPTY on triangle-free graphs and Ray's hash
        join cannot take a zero-row side.
 
     Returns a one-row Dataset (n_triangles int64).
     """
-    import zlib
-
     import numpy as np
     import ray.data
     from ray.data.aggregate import Sum
 
-    from .dataops import _cluster_parts
-    from .joins import _PART, _SIDE, _key_parts
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
+    from .joins import _SIDE
 
     one_row_zero = pa.table({"n_triangles": pa.array([0], pa.int64())})
 
     # --- 1. canonical distinct edges
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        pairs = set()
-        for u, v in zip(
-            batch.column(src).to_pylist(), batch.column(dst).to_pylist()
-        ):
-            if u == v:
-                continue
-            pairs.add((u, v) if u < v else (v, u))
-        pairs = sorted(pairs)
-        return pa.table(
-            {
-                "a": pa.array([p[0] for p in pairs], pa.string()),
-                "b": pa.array([p[1] for p in pairs], pa.string()),
-                "part": pa.array(
-                    [
-                        (zlib.crc32(x.encode()) + zlib.crc32(y.encode()))
-                        % num_parts
-                        for x, y in pairs
-                    ],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def pair_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(
-            _k=[
-                (x.encode("utf-8"), y.encode("utf-8"))
-                for x, y in zip(g["a"], g["b"])
-            ]
-        )
-        return g.drop_duplicates("_k")[["a", "b"]].reset_index(drop=True)
-
-    ed = (
-        edges_ds.select_columns([src, dst])
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pair_dedup, batch_format="pandas")
-        .materialize()
-    )
+    ed = _distinct_pairs(edges_ds, src, dst, _canonical, ("a", "b"),
+                         num_parts)
     if ed.count() == 0:
         return ray.data.from_arrow(one_row_zero)
 
     # --- 2. degrees
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        counts: Counter = Counter()
-        counts.update(batch.column("a").to_pylist())
-        counts.update(batch.column("b").to_pylist())
-        ks = sorted(counts)
-        return pa.table(
-            {
-                "node": pa.array(ks, pa.string()),
-                "deg": pa.array([counts[k] for k in ks], pa.int64()),
-                "part": pa.array(
-                    [zlib.crc32(k.encode()) % num_parts for k in ks],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def deg_merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(_k=[n.encode("utf-8") for n in g["node"]])
-        out = g.groupby("_k", as_index=False).agg(
-            node=("node", "first"), deg=("deg", "sum")
-        )
-        return out.drop(columns=["_k"])
-
-    deg = (
-        ed.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(deg_merge, batch_format="pandas")
-        .materialize()
-    )
+    deg = _node_counts(ed, ("a", "b"), "node", "deg", num_parts)
+    deg = deg.materialize()
 
     # --- 3. orient low→high by (deg, id): two hash joins attach both
     # endpoint degrees (partition count capped by the node count — the
@@ -1077,9 +740,6 @@ def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
         out = pd.DataFrame(
             {"tail": tail, "head": head, "hdeg": hdeg}
         )
-        out["part"] = [
-            zlib.crc32(t.encode()) % num_parts for t in out["tail"]
-        ]
         return pa.Table.from_pandas(out, preserve_index=False)
 
     oriented = with_db.map_batches(
@@ -1106,49 +766,30 @@ def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
                                  "ww": pd.Series([], dtype="object")})
         return pd.concat(outs, ignore_index=True)
 
-    # explicit Arrow string types: pandas-block schemas carry Python
-    # classes, which the tagged union's null-padding cannot consume
-    wedge_ds = oriented.groupby("part").map_groups(
-        wedges, batch_format="pandas"
-    ).map_batches(
-        lambda t: pa.table(
-            {
-                "wv": t.column("wv").cast(pa.string()),
-                "ww": t.column("ww").cast(pa.string()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    wedge_ds = exchange(oriented, "tail", wedges, num_parts=num_parts)
 
-    # --- 5. wedge ⋈ oriented edge on the head pair, empty-safe co-group.
-    # The tagged union is hand-rolled (not _conform_union): a
-    # triangle-free graph has ZERO wedges, and an empty dataset exposes
-    # no schema to introspect — the four string columns are static here.
-    def conform(side: int, v_col: str, w_col: str):
+    # --- 5. wedge ⋈ oriented edge on the head pair, empty-safe co-group:
+    # both sides as (v, w, side) rows with explicit Arrow string types
+    # (pandas-block schemas carry Python classes, and a triangle-free
+    # graph has ZERO wedges, so no schema to introspect), exchanged on v
+    def as_pairs(side: int, v_col: str, w_col: str):
         def fn(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            v = t.column(v_col).cast(pa.string())
-            w = t.column(w_col).cast(pa.string())
             return pa.table(
                 {
-                    "wv": v if side == 0 else pa.nulls(n, pa.string()),
-                    "ww": w if side == 0 else pa.nulls(n, pa.string()),
-                    "tv": pa.nulls(n, pa.string()) if side == 0 else v,
-                    "tw": pa.nulls(n, pa.string()) if side == 0 else w,
-                    _SIDE: pa.array([side] * n, pa.int64()),
-                    _PART: _key_parts(v, num_parts),
+                    "v": t.column(v_col).cast(pa.string()),
+                    "w": t.column(w_col).cast(pa.string()),
+                    _SIDE: pa.array([side] * t.num_rows, pa.int64()),
                 }
             )
 
         return fn
 
-    union = wedge_ds.map_batches(
-        conform(0, "wv", "ww"), batch_format="pyarrow"
-    ).union(
+    arms = [
+        wedge_ds.map_batches(as_pairs(0, "wv", "ww"), batch_format="pyarrow"),
         oriented.map_batches(
-            conform(1, "tail", "head"), batch_format="pyarrow"
-        )
-    )
+            as_pairs(1, "tail", "head"), batch_format="pyarrow"
+        ),
+    ]
 
     def close_count(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -1160,19 +801,19 @@ def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
             # NUL-safe bytes pair keys for the set membership
             ek = set(
                 zip(
-                    (s.encode("utf-8") for s in e["tv"]),
-                    (s.encode("utf-8") for s in e["tw"]),
+                    (s.encode("utf-8") for s in e["v"]),
+                    (s.encode("utf-8") for s in e["w"]),
                 )
             )
             n = sum(
                 (a.encode("utf-8"), b.encode("utf-8")) in ek
-                for a, b in zip(w["wv"], w["ww"])
+                for a, b in zip(w["v"], w["w"])
             )
         return pa.table({"n_triangles": pa.array([n], pa.int64())})
 
     total = (
-        union.groupby(_PART)
-        .map_groups(close_count, batch_format="pyarrow")
+        exchange(arms, "v", close_count, batch_format="pyarrow",
+                 num_parts=num_parts)
         .aggregate(Sum("n_triangles", alias_name="n_triangles"))
     )
     n = int(total["n_triangles"] or 0)
@@ -1192,7 +833,7 @@ def common_neighbors_topk(edges_ds, *, k: int = 20, src: str = "src",
     Shapes (all coarse-partitioned, nothing per-node on the driver):
 
     1. canonical DISTINCT undirected edges (a<b) — per-batch combiner →
-       crc32 coarse-partition dedup (same stage as triangle_count);
+       ``exchange`` dedup (same stage as triangle_count);
     2. both-direction adjacency, partitioned by CENTER node: each
        center's sorted neighbor list expands to its wedge pairs with a
        vectorized ``triu_indices`` — pair counts pre-summed per part
@@ -1209,16 +850,10 @@ def common_neighbors_topk(edges_ds, *, k: int = 20, src: str = "src",
 
     Returns (node_a, node_b, n_common), n_common int64.
     """
-    import zlib
-
     import numpy as np
     import ray.data
 
-    from .dataops import _cluster_parts
-    from .joins import _PART, _SIDE
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
+    from .joins import _SIDE
 
     empty = pa.table(
         {
@@ -1229,46 +864,8 @@ def common_neighbors_topk(edges_ds, *, k: int = 20, src: str = "src",
     )
 
     # --- 1. canonical distinct edges
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        pairs = set()
-        for u, v in zip(
-            batch.column(src).to_pylist(), batch.column(dst).to_pylist()
-        ):
-            if u == v:
-                continue
-            pairs.add((u, v) if u < v else (v, u))
-        pairs = sorted(pairs)
-        return pa.table(
-            {
-                "a": pa.array([p[0] for p in pairs], pa.string()),
-                "b": pa.array([p[1] for p in pairs], pa.string()),
-                "part": pa.array(
-                    [
-                        (zlib.crc32(x.encode()) + zlib.crc32(y.encode()))
-                        % num_parts
-                        for x, y in pairs
-                    ],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def pair_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(
-            _k=[
-                (x.encode("utf-8"), y.encode("utf-8"))
-                for x, y in zip(g["a"], g["b"])
-            ]
-        )
-        return g.drop_duplicates("_k")[["a", "b"]].reset_index(drop=True)
-
-    ed = (
-        edges_ds.select_columns([src, dst])
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pair_dedup, batch_format="pandas")
-        .materialize()
-    )
+    ed = _distinct_pairs(edges_ds, src, dst, _canonical, ("a", "b"),
+                         num_parts)
     if ed.count() == 0:
         return ray.data.from_arrow(empty)
 
@@ -1276,16 +873,10 @@ def common_neighbors_topk(edges_ds, *, k: int = 20, src: str = "src",
     def adj_both(batch: pa.Table) -> pa.Table:
         a = batch.column("a").to_pylist()
         b = batch.column("b").to_pylist()
-        cs = a + b
-        ns = b + a
         return pa.table(
             {
-                "c": pa.array(cs, pa.string()),
-                "n": pa.array(ns, pa.string()),
-                "part": pa.array(
-                    [zlib.crc32(x.encode()) % num_parts for x in cs],
-                    pa.int64(),
-                ),
+                "c": pa.array(a + b, pa.string()),
+                "n": pa.array(b + a, pa.string()),
             }
         )
 
@@ -1323,47 +914,35 @@ def common_neighbors_topk(edges_ds, *, k: int = 20, src: str = "src",
         )
         return out[["node_a", "node_b", "cnt"]].astype({"cnt": "int64"})
 
-    wedge_ds = (
-        ed.map_batches(adj_both, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wedge_counts, batch_format="pandas")
-    )
+    wedge_ds = exchange(ed, "c", wedge_counts, combine=adj_both,
+                        num_parts=num_parts)
 
     # --- 3. pair-keyed co-group: sum counts, anti-join edges, top-k/part
     def conform(side: int, a_col: str, b_col: str):
         def fn(t: pa.Table) -> pa.Table:
             n = t.num_rows
-            a = t.column(a_col).cast(pa.string())
-            b = t.column(b_col).cast(pa.string())
             cnt = (
                 t.column("cnt").cast(pa.int64())
                 if side == 0
                 else pa.nulls(n, pa.int64())
             )
-            av = a.to_pylist()
-            bv = b.to_pylist()
             return pa.table(
                 {
-                    "node_a": a,
-                    "node_b": b,
+                    "node_a": t.column(a_col).cast(pa.string()),
+                    "node_b": t.column(b_col).cast(pa.string()),
                     "cnt": cnt,
                     _SIDE: pa.array([side] * n, pa.int64()),
-                    _PART: pa.array(
-                        [
-                            (zlib.crc32(x.encode()) + zlib.crc32(y.encode()))
-                            % num_parts
-                            for x, y in zip(av, bv)
-                        ],
-                        pa.int64(),
-                    ),
                 }
             )
 
         return fn
 
-    union = wedge_ds.map_batches(
-        conform(0, "node_a", "node_b"), batch_format="pyarrow"
-    ).union(ed.map_batches(conform(1, "a", "b"), batch_format="pyarrow"))
+    arms = [
+        wedge_ds.map_batches(
+            conform(0, "node_a", "node_b"), batch_format="pyarrow"
+        ),
+        ed.map_batches(conform(1, "a", "b"), batch_format="pyarrow"),
+    ]
 
     def part_topk(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -1406,8 +985,8 @@ def common_neighbors_topk(edges_ds, *, k: int = 20, src: str = "src",
         )
 
     return (
-        union.groupby(_PART)
-        .map_groups(part_topk, batch_format="pyarrow")
+        exchange(arms, ["node_a", "node_b"], part_topk,
+                 batch_format="pyarrow", num_parts=num_parts)
         .sort(
             ["n_common", "node_a", "node_b"],
             descending=[True, False, False],
@@ -1512,10 +1091,6 @@ def khop_neighbors_dataset(edges_ds, seeds, k: int = 2, *,
     visited = ray.data.from_arrow(_seed_table(set(seeds), 0)).materialize()
     frontier = visited.drop_columns(["hop"]).materialize()
 
-    from .dataops import _cluster_parts
-
-    _dedup_parts = _cluster_parts()
-
     for hop in range(1, k + 1):
         def fwd_project(batch: pa.Table, _d=dst) -> pa.Table:
             return pa.table({"node_id": pc.cast(batch.column(_d),
@@ -1544,23 +1119,13 @@ def khop_neighbors_dataset(edges_ds, seeds, k: int = 2, *,
             break
 
         # distinct candidates via the coarse-partition idiom (per-batch
-        # pre-dedup -> crc32 part key -> in-part drop_duplicates): a
+        # pre-dedup -> exchange -> in-part drop_duplicates): a
         # direct groupby(node_id) costs ~1 ms of Python PER NODE
         # (CLAUDE.md lore) — fatal inside a per-hop loop on the
         # corpus-scaled frontiers this variant exists for
-        def dedup_partial(batch: pa.Table, _np=_dedup_parts) -> pa.Table:
-            import zlib
-
+        def dedup_partial(batch: pa.Table) -> pa.Table:
             vals = sorted(set(batch.column("node_id").to_pylist()))
-            return pa.table(
-                {
-                    "node_id": pa.array(vals, key_type),
-                    "dpart": pa.array(
-                        [zlib.crc32(str(v).encode()) % _np for v in vals],
-                        pa.int64(),
-                    ),
-                }
-            )
+            return pa.table({"node_id": pa.array(vals, key_type)})
 
         def in_part_dedup(g: pd.DataFrame) -> pd.DataFrame:
             # bytes key for string ids: pandas' string hashtable
@@ -1573,12 +1138,9 @@ def khop_neighbors_dataset(edges_ds, seeds, k: int = 2, *,
                 ["node_id"]
             ].reset_index(drop=True)
 
-        distinct = (
-            cand.map_batches(dedup_partial, batch_format="pyarrow")
-            .groupby("dpart")
-            .map_groups(in_part_dedup, batch_format="pandas")
-            .materialize()
-        )
+        distinct = exchange(
+            cand, "node_id", in_part_dedup, combine=dedup_partial
+        ).materialize()
         fresh = bloom_anti_join(
             lambda: distinct, visited, on="node_id", right_on="node_id"
         ).materialize()

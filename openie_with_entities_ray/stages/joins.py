@@ -25,6 +25,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from .dataops import cluster_cpus
+from .exchange import exchange
 
 _SALT = "__salt"
 
@@ -106,12 +107,11 @@ def salted_join(
 # ---------------------------------------------------------------------------
 # custom temporal joins Ray Data lacks (SURVEY §2 extension surface):
 # as-of join and range join, both expressed as ONE co-partitioning
-# shuffle (hash of the equi-key, ~4x cluster cores parts) + a vectorized
-# per-partition kernel. Partitioning assumption (documented per the
-# task contract): all rows of one equi-key fit in a partition — the
-# same assumption every hash-partitioned groupby makes; a time-skewed
-# corpus would range-partition on time with boundary replication
-# instead.
+# ``exchange`` on the equi-key + a vectorized per-partition kernel.
+# Partitioning assumption (documented per the task contract): all rows
+# of one equi-key fit in a partition — the same assumption every
+# hash-partitioned groupby makes; a time-skewed corpus would
+# range-partition on time with boundary replication instead.
 #
 # Null semantics mirror SQL comparisons: a null equi-key (or null
 # time) matches nothing — as-of still EMITS such left rows with null
@@ -120,35 +120,34 @@ def salted_join(
 # float64, so >2^53 ids survive bit-exact).
 
 _SIDE = "__side"
-_PART = "__part"
+_KEY = "__key"
 
 
-def _key_parts(col, num_parts: int):
-    """Deterministic partition of a key column, identical across the two
-    sides. Dispatch is on the column TYPE (a value-based dispatch would
-    route the same key differently depending on each batch's first row);
-    null keys all go to partition 0 — the kernels give them SQL
-    comparison semantics there."""
-    import zlib
-
-    vals = col.to_pylist()
-    if pa.types.is_integer(col.type):
-        parts = [0 if v is None else int(v) % num_parts for v in vals]
-    else:
-        parts = [
-            0 if v is None
-            else zlib.crc32(str(v).encode("utf-8")) % num_parts
-            for v in vals
-        ]
-    return pa.array(parts, pa.int64())
+def _key_type(lt, rt):
+    """The one Arrow type both sides' equi-keys are cast to in the shared
+    ``__key`` column the exchange hashes: equal keys must hash equally,
+    so an int32 side meets an int64 side as int64, an int side meets a
+    float side as float64, and any other mix meets as strings."""
+    if lt == rt or pa.types.is_null(rt):
+        return lt
+    if pa.types.is_null(lt):
+        return rt
+    if pa.types.is_integer(lt) and pa.types.is_integer(rt):
+        return pa.int64()
+    if all(pa.types.is_integer(t) or pa.types.is_floating(t)
+           for t in (lt, rt)):
+        return pa.float64()
+    return pa.string()
 
 
 def _conform_union(left_ds, right_ds, *, left_key: str, right_key: str,
-                   num_parts: int, left_schema=None, right_schema=None):
+                   left_schema=None, right_schema=None):
     """Tag each side, null-pad to the shared superset schema (fixed
     column order + explicit types, so Ray's shuffle sees ONE schema) and
-    co-partition by the equi-key. Returns (union_ds, fields) where
-    fields maps every payload column to its pyarrow type.
+    copy each side's equi-key into the shared ``__key`` column; the
+    caller ``exchange``s the two arms on ``__key``. Returns ([left_arm,
+    right_arm], fields) where fields maps every payload column to its
+    pyarrow type.
 
     ``left_schema``/``right_schema`` (pyarrow.Schema) override the
     schema probe: Ray reports ``schema() is None`` for any
@@ -182,6 +181,8 @@ def _conform_union(left_ds, right_ds, *, left_key: str, right_key: str,
               for n, t in zip(lschema.names, lschema.types)]
     fields += [(n, _as_arrow_type(t))
                for n, t in zip(rschema.names, rschema.types)]
+    types = dict(fields)
+    key_type = _key_type(types[left_key], types[right_key])
 
     def conform(side: int, key_col: str):
         def fn(batch: pa.Table) -> pa.Table:
@@ -193,17 +194,16 @@ def _conform_union(left_ds, right_ds, *, left_key: str, right_key: str,
                 else:
                     cols[name] = pa.nulls(n, typ)
             cols[_SIDE] = pa.array([side] * n, pa.int64())
-            cols[_PART] = _key_parts(batch.column(key_col), num_parts)
+            cols[_KEY] = batch.column(key_col).cast(key_type)
             return pa.table(cols)
 
         return fn
 
-    union = left_ds.map_batches(
-        conform(0, left_key), batch_format="pyarrow"
-    ).union(
-        right_ds.map_batches(conform(1, right_key), batch_format="pyarrow")
-    )
-    return union, dict(fields)
+    arms = [
+        left_ds.map_batches(conform(0, left_key), batch_format="pyarrow"),
+        right_ds.map_batches(conform(1, right_key), batch_format="pyarrow"),
+    ]
+    return arms, types
 
 
 def _as_arrow_type(t):
@@ -270,16 +270,11 @@ def asof_join(
     per-left-row output, partition-invariant."""
     import pandas as pd
 
-    from .dataops import _cluster_parts
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
     if right_cols is None:
         right_cols = []
 
-    union, fields = _conform_union(
+    arms, fields = _conform_union(
         left_ds, right_ds, left_key=by, right_key=right_by,
-        num_parts=num_parts,
     )
     lnames = list(left_ds.schema().names)
     rnames = list(right_ds.schema().names)
@@ -346,9 +341,8 @@ def asof_join(
         ]
         return pa.table(dict(zip([n for n, _ in out_fields], arrays)))
 
-    return (
-        union.groupby(_PART).map_groups(kernel, batch_format="pyarrow")
-    )
+    return exchange(arms, _KEY, kernel, batch_format="pyarrow",
+                    num_parts=num_parts)
 
 
 def range_join(
@@ -376,14 +370,8 @@ def range_join(
     cartesian materialization beyond the actual matches."""
     import numpy as np
 
-    from .dataops import _cluster_parts
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    union, fields = _conform_union(
+    arms, fields = _conform_union(
         left_ds, right_ds, left_key=left_key, right_key=right_key,
-        num_parts=num_parts,
     )
     lnames = list(left_ds.schema().names)
     rnames = list(right_ds.schema().names)
@@ -454,9 +442,8 @@ def range_join(
             )
         return pa.table(cols)
 
-    return (
-        union.groupby(_PART).map_groups(kernel, batch_format="pyarrow")
-    )
+    return exchange(arms, _KEY, kernel, batch_format="pyarrow",
+                    num_parts=num_parts)
 
 
 def equi_join(
@@ -482,15 +469,9 @@ def equi_join(
     Shape: ONE co-partitioning shuffle on the key, then a compiled
     pandas merge per partition — same exchange count as the native
     join, partition-invariant output."""
-    from .dataops import _cluster_parts
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    union, fields = _conform_union(
+    arms, fields = _conform_union(
         left_ds, right_ds, left_key=on, right_key=right_on,
-        num_parts=num_parts, left_schema=left_schema,
-        right_schema=right_schema,
+        left_schema=left_schema, right_schema=right_schema,
     )
     lnames = list((left_schema if left_schema is not None
                    else left_ds.schema()).names)
@@ -517,9 +498,8 @@ def equi_join(
         }
         return pa.table(cols)
 
-    return (
-        union.groupby(_PART).map_groups(kernel, batch_format="pyarrow")
-    )
+    return exchange(arms, _KEY, kernel, batch_format="pyarrow",
+                    num_parts=num_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +529,13 @@ def _bloom_positions(keys, num_bits: int, num_hashes: int, *, is_int: bool):
     two splitmix64-derived hashes. ``keys`` is a null-free Python list.
 
     ``is_int`` selects the hash path and MUST be derived from the key
-    column's ARROW TYPE by every caller (the _key_parts rule): deciding
-    per batch from the values would let one null/odd value flip a whole
-    batch to the md5 path while the other side hashed the same keys on
-    the int path — Bloom false NEGATIVES that silently drop matching
-    rows from the exact verify stage. Both sides' key columns must
-    share the type family (int with int, string with string)."""
+    column's ARROW TYPE by every caller (the ``exchange.key_parts``
+    rule): deciding per batch from the values would let one null/odd
+    value flip a whole batch to the md5 path while the other side
+    hashed the same keys on the int path — Bloom false NEGATIVES that
+    silently drop matching rows from the exact verify stage. Both sides'
+    key columns must share the type family (int with int, string with
+    string)."""
     import hashlib as _hl
 
     import numpy as np
@@ -648,12 +629,8 @@ def bloom_anti_join(
 
     import numpy as np
 
-    from .dataops import _cluster_parts
-
     if right_on is None:
         right_on = on
-    if num_partitions is None:
-        num_partitions = _cluster_parts()
 
     bits = build_bloom_bits(
         build_ds, right_on, num_bits=num_bits, num_hashes=num_hashes
@@ -693,9 +670,8 @@ def bloom_anti_join(
         batch_format="pyarrow",
     )
     cands = big_ds_fn().map_batches(flag(True), batch_format="pyarrow")
-    union, fields = _conform_union(
+    arms, fields = _conform_union(
         cands, build_keys, left_key=on, right_key="__bloom_key",
-        num_parts=num_partitions,
     )
     out_fields = [
         (n, t) for n, t in fields.items() if n != "__bloom_key"
@@ -716,9 +692,8 @@ def bloom_anti_join(
             }
         )
 
-    survivors = union.groupby(_PART).map_groups(
-        kernel, batch_format="pyarrow"
-    )
+    survivors = exchange(arms, _KEY, kernel, batch_format="pyarrow",
+                         num_parts=num_partitions)
     return definite.union(survivors)
 
 
@@ -745,20 +720,14 @@ def outer_join(
     :func:`equi_join`; column names must be disjoint; both key columns
     are kept (the unmatched side's key is null, exactly as SQL returns
     it)."""
-    from .dataops import _cluster_parts
+    import pandas as pd
 
     if how not in ("left", "right", "full"):
         raise ValueError(f"how must be left/right/full, got {how!r}")
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    import pandas as pd
-
     merge_how = {"full": "outer", "left": "left", "right": "right"}[how]
-    union, fields = _conform_union(
+    arms, fields = _conform_union(
         left_ds, right_ds, left_key=on, right_key=right_on,
-        num_parts=num_parts, left_schema=left_schema,
-        right_schema=right_schema,
+        left_schema=left_schema, right_schema=right_schema,
     )
     lnames = list((left_schema if left_schema is not None
                    else left_ds.schema()).names)
@@ -795,9 +764,8 @@ def outer_join(
         }
         return pa.table(cols)
 
-    return (
-        union.groupby(_PART).map_groups(kernel, batch_format="pyarrow")
-    )
+    return exchange(arms, _KEY, kernel, batch_format="pyarrow",
+                    num_parts=num_parts)
 
 
 def full_outer_join(left_ds, right_ds, *, on: str, right_on: str,

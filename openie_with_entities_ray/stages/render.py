@@ -1,9 +1,9 @@
-"""Renderers for the reference's output formats (K1-K4) as batch kernels.
+"""Renderers for the reference's output formats (K1, K2) as batch kernels.
 
 The reference appends to ``.oie`` / ``.allennlp`` / ``.conj`` / ``.labels``
 files per batch (/root/reference/model.py:635-710 — unresumable partial
-files on crash). Here each format is a pure kernel over the triples /
-split_sentences tables producing one text row per original sentence; the
+files on crash). Here each format is a pure kernel over the triples
+table producing one text row per original sentence; the
 sink is partitioned Parquet (or ``write_text``-style via a single column),
 so output is idempotent and resumable. Used by the parity tests to compare
 byte output against the reference's formats.
@@ -20,58 +20,9 @@ from ..functions.triples import (
     ext_to_sentence,
     ext_to_string,
 )
+from .exchange import exchange_per_key
 
 _SENT_KEY = ["repo", "path", "commit", "sent_id"]
-
-
-def _per_sentence(ds, render_group):
-    """Apply ``render_group`` once per sentence via a coarse crc32
-    partition (cluster-scaled part count) + an in-part pandas sub-group
-    loop — one Ray group per PART, never per sentence (~1 ms of Python
-    per Ray group, measured; see BASELINE.md tail). crc32 runs over the
-    raw key bytes (NUL-safe); the in-part groupby is on the component
-    columns."""
-    import zlib
-
-    from .dataops import _cluster_parts
-
-    num_parts = _cluster_parts()
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        parts = [
-            zlib.crc32(f"{r}\x00{p}\x00{c}\x00{s}".encode("utf-8"))
-            % num_parts
-            for r, p, c, s in zip(
-                batch.column("repo").to_pylist(),
-                batch.column("path").to_pylist(),
-                batch.column("commit").to_pylist(),
-                batch.column("sent_id").to_pylist(),
-            )
-        ]
-        return batch.append_column("__spart", pa.array(parts, pa.int64()))
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        # injective NUL-safe composite bytes key — a multi-column str
-        # groupby truncates each component at embedded NULs and merges
-        # distinct sentences (dataops.composite_key_bytes docstring)
-        from .dataops import composite_key_bytes
-
-        g = g.assign(
-            _k=composite_key_bytes(
-                g["repo"], g["path"], g["commit"], g["sent_id"]
-            )
-        )
-        outs = [
-            render_group(sub.drop(columns=["_k", "__spart"]))
-            for _, sub in g.groupby("_k", sort=False)
-        ]
-        return pd.concat(outs) if outs else g.iloc[0:0]
-
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__spart")
-        .map_groups(per_part, batch_format="pandas")
-    )
 
 
 def render_oie_blocks(triples_ds, *, style: str = "labels"):
@@ -79,8 +30,9 @@ def render_oie_blocks(triples_ds, *, style: str = "labels"):
     extraction line per triple (model.py:640-651). ``style='sentences'``
     uses the ext_to_sentence form (run.py:238, model.py:642-645).
 
-    Grouped per sentence (sort by split_id, depth within group keeps the
-    reference's encounter order)."""
+    Grouped per sentence with ``exchange_per_key`` (one Ray group per
+    part, never per sentence); sorting by split_id, depth within the
+    group keeps the reference's encounter order."""
 
     def render(group: pd.DataFrame) -> pd.DataFrame:
         group = group.sort_values(["split_id", "depth"], kind="mergesort")
@@ -103,7 +55,7 @@ def render_oie_blocks(triples_ds, *, style: str = "labels"):
             }
         )
 
-    return _per_sentence(triples_ds, render)
+    return exchange_per_key(triples_ds, _SENT_KEY, render)
 
 
 def render_allennlp_lines(triples_ds):
@@ -130,29 +82,3 @@ def render_allennlp_lines(triples_ds):
         )
 
     return triples_ds.map_batches(render, batch_format="pyarrow")
-
-
-def render_conj_blocks(split_sentences_ds):
-    """K4: original sentence + split sentences, newline-joined per block
-    (model.py:678-690). Identity splits render as the sentence alone —
-    matching the single-split block shape of run.py:180-187."""
-
-    def render(group: pd.DataFrame) -> pd.DataFrame:
-        group = group.sort_values("split_id", kind="mergesort")
-        orig = group["orig_sentence"].iloc[0]
-        splits = group["split_sentence"].to_list()
-        if splits == [orig]:
-            block = orig
-        else:
-            block = "\n".join([orig] + splits)
-        return pd.DataFrame(
-            {
-                "repo": [group["repo"].iloc[0]],
-                "path": [group["path"].iloc[0]],
-                "commit": [group["commit"].iloc[0]],
-                "sent_id": [group["sent_id"].iloc[0]],
-                "block": [block],
-            }
-        )
-
-    return _per_sentence(split_sentences_ds, render)

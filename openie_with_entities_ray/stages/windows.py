@@ -6,8 +6,8 @@ analogues of SQL ``... OVER (PARTITION BY k ORDER BY o)`` — per-entity
 running totals and inter-event gaps — built on the repo's standard
 coarse-partition shape:
 
-- ONE shuffle: ``hash(part_col) % num_parts`` with a cluster-scaled part
-  count (``_cluster_parts``), never one Ray group per partition key
+- ONE shuffle: ``stages/exchange.py:exchange`` on ``part_col`` (a
+  cluster-scaled part count), never one Ray group per partition key
   (~1 ms of Python per Ray aggregate group is a wall at 1e8 users);
 - inside each part a single vectorized pandas sort + groupby-transform
   computes every key's window at once.
@@ -24,44 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .dataops import _cluster_parts
-
-
-def _with_part(ds, part_col: str, num_parts: int):
-    """Attach the coarse partition key: int keys take a vectorized mod,
-    anything else goes through crc32 of the utf-8 repr."""
-    import zlib
-
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        col = batch[part_col]
-        if pd.api.types.is_integer_dtype(col):
-            batch["__part"] = col.astype("int64") % num_parts
-        else:
-            batch["__part"] = [
-                zlib.crc32(str(v).encode("utf-8")) % num_parts for v in col
-            ]
-        return batch
-
-    return ds.map_batches(add_part, batch_format="pandas", batch_size=65536)
-
-
-def partitioned_window(ds, *, part_col: str, kernel,
-                       num_parts: int | None = None):
-    """Generic partitioned-window scaffold: coarse-partition ``ds`` on
-    ``part_col`` and run ``kernel(df) -> df`` once per part on a frame
-    holding every complete key group (the ``__part`` column is already
-    dropped). running_sum / lag_delta below are thin kernels over this."""
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    def run(group: pd.DataFrame) -> pd.DataFrame:
-        return kernel(group.drop(columns=["__part"]))
-
-    return (
-        _with_part(ds, part_col, num_parts)
-        .groupby("__part")
-        .map_groups(run, batch_format="pandas")
-    )
+from .exchange import exchange
 
 
 def running_sum(ds, *, part_col: str, order_cols: list,
@@ -82,9 +45,7 @@ def running_sum(ds, *, part_col: str, order_cols: list,
         df[out_col] = df.groupby(part_col, sort=False)[value_col].cumsum()
         return df[out_cols]
 
-    return partitioned_window(
-        ds, part_col=part_col, kernel=kernel, num_parts=num_parts
-    )
+    return exchange(ds, part_col, kernel, num_parts=num_parts)
 
 
 def range_rolling(ds, *, part_col: str, ts_col: str,
@@ -137,9 +98,7 @@ def range_rolling(ds, *, part_col: str, ts_col: str,
             df[out_sum] = s_win
         return df[out_cols]
 
-    return partitioned_window(
-        ds, part_col=part_col, kernel=kernel, num_parts=num_parts
-    )
+    return exchange(ds, part_col, kernel, num_parts=num_parts)
 
 
 def lag_delta(ds, *, part_col: str, order_cols: list, value_col: str,
@@ -170,6 +129,4 @@ def lag_delta(ds, *, part_col: str, order_cols: list, value_col: str,
             df[out_col] = df[out_col].astype("int64")
         return df[out_cols]
 
-    return partitioned_window(
-        ds, part_col=part_col, kernel=kernel, num_parts=num_parts
-    )
+    return exchange(ds, part_col, kernel, num_parts=num_parts)

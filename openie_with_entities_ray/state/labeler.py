@@ -565,39 +565,3 @@ def make_labeler(spec=None):
     if kind == "torch":
         return TorchGridLabeler(**kwargs)
     raise ValueError(f"unknown labeler kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# train-time featurizer surrogates (O5/O6): the reference computes per-word
-# POS (ADJ/ADV/NOUN/PROPN/VERB membership) and non-light-verb flags with
-# spaCy (data.py:100-134) — train-time only. These heuristic equivalents
-# keep the feature columns producible without spaCy.
-
-LIGHT_VERBS = frozenset(
-    """
-    take have get give do make set put bring keep hold turn begin come go
-    run let see say use find tell ask work seem feel leave call become
-    grow appear look move play pay hear include believe allow meet lead
-    live stand happen carry talk sit produce offer consider expect suggest
-    let help start show provide continue remain
-    """.split()
-)
-
-
-def pos_feature(words):
-    """1 iff the word is content-like (the reference marks
-    ADJ/ADV/NOUN/PROPN/VERB, data.py:106-110); +3 trailing zeros for the
-    markers (data.py:111)."""
-    flags = [
-        0 if (w.lower() in _FUNCTION_WORDS or w in _PUNCT) else 1
-        for w in words
-    ]
-    return flags + [0, 0, 0]
-
-
-def verb_feature(words):
-    """1 iff verb and not a light verb (data.py:115-134); +3 zeros."""
-    flags = [
-        1 if is_verb(w) and w.lower() not in LIGHT_VERBS else 0 for w in words
-    ]
-    return flags + [0, 0, 0]

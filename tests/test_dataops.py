@@ -1772,6 +1772,42 @@ def test_running_sum_matches_bruteforce_and_partitions(ray_session):
     assert run(5, 6) == expected
 
 
+def test_running_sum_key_with_null_in_a_later_batch(ray_session):
+    """An int key must route to one part whether or not its batch holds
+    a null: a null-free 65,536-row block of key 5, then a [5, null]
+    block. If the null-bearing batch widened the key to float64 and
+    hashed it differently, the 65,537th row of key 5 would start a new
+    running sum in another part (reading 1)."""
+    import pyarrow as pa
+    import ray.data
+
+    from openie_with_entities_ray.stages.windows import running_sum
+
+    n = 65_536
+    first = pa.table(
+        {
+            "k": pa.array([5] * n, pa.int64()),
+            "o": pa.array(range(n), pa.int64()),
+            "v": pa.array([1] * n, pa.int64()),
+        }
+    )
+    second = pa.table(
+        {
+            "k": pa.array([5, None], pa.int64()),
+            "o": pa.array([n, n + 1], pa.int64()),
+            "v": pa.array([1, 1], pa.int64()),
+        }
+    )
+    out = running_sum(
+        ray.data.from_arrow([first, second]), part_col="k",
+        order_cols=["o"], value_col="v", out_col="rs", num_parts=64,
+    ).to_pandas()
+    key5 = out[out["k"] == 5].set_index("o")["rs"]
+    assert len(key5) == n + 1
+    assert int(key5.loc[n]) == n + 1
+    assert int(key5.max()) == n + 1
+
+
 def test_lag_delta_int64_exact_past_2_53(ray_session):
     """lag_delta must stay integer-exact on values past 2**53 (e.g.
     nanosecond timestamps): a float64 round-trip would corrupt the
