@@ -6,7 +6,9 @@ ONE JSON line:
 
     {"metric": "flagship_e2e", "value": <sec>, "unit": "sec",
      "queries": {...per-pipeline sec...}, "sf": ..., "num_cpus": N,
-     "rows": {...}, "throughput_rows_per_s": ...}
+     "rows": {...}, "throughput_rows_per_s": ...,
+     "hardware": {"cpu_count": ..., "loadavg_before": [1m, 5m, 15m],
+                  "loadavg_after": [...]}}
 
 --scaling: run the headline pipeline twice in fresh processes
 (num_cpus=8 then num_cpus=32) on the same input and report both
@@ -26,9 +28,14 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 
+def _loadavg() -> list:
+    return [round(x, 2) for x in os.getloadavg()]
+
+
 def run_bench() -> dict:
     import ray
 
+    hardware = {"cpu_count": os.cpu_count(), "loadavg_before": _loadavg()}
     if not ray.is_initialized():
         ray.init(
             address="local",
@@ -165,6 +172,7 @@ def run_bench() -> dict:
             if timings["flagship"]
             else None
         ),
+        "hardware": {**hardware, "loadavg_after": _loadavg()},
     }
     ray.shutdown()
     return result

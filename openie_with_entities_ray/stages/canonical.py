@@ -96,7 +96,7 @@ def canonicalize_surfaces(triples_ds, num_parts: int | None = None):
     """triples → nodes table (node_id, surface_norm, surface, n_mentions).
 
     Two-phase aggregate: per-batch partials (combiner) → ``exchange``
-    on the surface → ONE vectorized pandas aggregate per part. The
+    on the surface → ONE Arrow hash aggregate per part. The
     'surface' kept per canonical id is the lexicographic min of the
     per-batch examples (deterministic under any partitioning).
 
@@ -109,30 +109,29 @@ def canonicalize_surfaces(triples_ds, num_parts: int | None = None):
     Scale shape: the merge groups by a cluster-scaled part key, never by
     ``surface_norm`` directly — Ray pays ~1 ms of Python per aggregate
     group (measured, BASELINE.md tail), so one group per distinct
-    surface walls at corpus scale. Inside the part the group key is the
-    utf-8 BYTES of the surface (pandas' string hashtable truncates at
-    embedded NULs and would merge distinct surfaces from adversarial
-    content)."""
-    import pandas as pd
+    surface walls at corpus scale. Inside the part one Arrow hash
+    aggregate merges the partials. Arrow hashes a string by its length
+    and bytes, so surfaces that differ only after an embedded NUL stay
+    distinct; its string ``min`` is utf-8 byte order, which equals the
+    code-point ``<`` the combiner uses, so the kept surface is the
+    corpus-wide min. (pandas' ``min`` on an object column runs one
+    Python call per group, and its string hashtable truncates at NULs.)"""
 
     # a named wrapper: the Ray operator is called ``partial``, and the
     # module-global lookup keeps ``_partial_counts`` patchable
     def partial(batch: pa.Table) -> pa.Table:
         return _partial_counts(batch)
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(
-            _k=[s.encode("utf-8") for s in g["surface_norm"]]
-        )
-        out = g.groupby(["_k", "is_ent"], as_index=False).agg(
-            surface_norm=("surface_norm", "first"),
-            surface=("surface", "min"),
-            n_mentions=("n_mentions", "sum"),
-        )
-        return out.drop(columns=["_k"])
+    def merge(g: pa.Table) -> pa.Table:
+        out = g.group_by(
+            ["surface_norm", "is_ent"], use_threads=False
+        ).aggregate([("surface", "min"), ("n_mentions", "sum")])
+        return out.select(
+            ["surface_norm", "is_ent", "surface_min", "n_mentions_sum"]
+        ).rename_columns(["surface_norm", "is_ent", "surface", "n_mentions"])
 
     agg = exchange(triples_ds, "surface_norm", merge, combine=partial,
-                   num_parts=num_parts)
+                   num_parts=num_parts, batch_format="pyarrow")
 
     def finalize(batch: pa.Table) -> pa.Table:
         norms = batch.column("surface_norm").to_pylist()
@@ -159,8 +158,8 @@ def predicate_frequencies(triples_ds, num_parts: int | None = None):
     """A7 skew probe (pubmed_analysis.py:22-31): normalized predicate →
     count, sorted desc. Same combiner → coarse-partition merge shape as
     :func:`canonicalize_surfaces` (one Ray group per PART, not per
-    distinct predicate; NUL-safe bytes group key inside the part)."""
-    import pandas as pd
+    distinct predicate; a NUL-safe Arrow hash aggregate inside the
+    part)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
@@ -176,13 +175,15 @@ def predicate_frequencies(triples_ds, num_parts: int | None = None):
             }
         )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(_k=[s.encode("utf-8") for s in g["rel_norm"]])
-        out = g.groupby("_k", as_index=False).agg(
-            rel_norm=("rel_norm", "first"), n=("n", "sum")
+    def merge(g: pa.Table) -> pa.Table:
+        out = g.group_by("rel_norm", use_threads=False).aggregate(
+            [("n", "sum")]
         )
-        return out.drop(columns=["_k"])
+        return out.select(["rel_norm", "n_sum"]).rename_columns(
+            ["rel_norm", "n"]
+        )
 
     return exchange(
-        triples_ds, "rel_norm", merge, combine=partial, num_parts=num_parts
+        triples_ds, "rel_norm", merge, combine=partial, num_parts=num_parts,
+        batch_format="pyarrow",
     ).sort("n", descending=True)

@@ -214,7 +214,7 @@ def connected_components_join(
     the scale path when the node table itself exceeds driver memory.
 
     Per round: adjacency ⋈ labels (hash join on the neighbor id) unions
-    the nodes' own labels, a coarse-partitioned vectorized pandas min
+    the nodes' own labels, a coarse-partitioned Arrow hash ``min``
     picks each node's new label (cluster-scaled part count — never one
     Ray group per node), and a left_anti join of new against old on
     (node_id, label) counts changed rows for convergence. Returns a
@@ -262,17 +262,19 @@ def connected_components_join(
             }
         )
 
-    def part_min(g: pd.DataFrame) -> pd.DataFrame:
-        # bytes group key (NUL-safe in pandas' object hashtable)
-        g = g.assign(_k=[n.encode("utf-8") for n in g["node_id"]])
-        out = g.groupby("_k", as_index=False).agg(
-            node_id=("node_id", "first"), label=("label", "min")
+    def part_min(g: pa.Table) -> pa.Table:
+        # Arrow hash aggregate: NUL-safe, and its string min (utf-8 byte
+        # order = code-point order) runs without a Python call per node
+        out = g.group_by("node_id", use_threads=False).aggregate(
+            [("label", "min")]
         )
-        return out.drop(columns=["_k"])
+        return out.select(["node_id", "label_min"]).rename_columns(
+            ["node_id", "label"]
+        )
 
     labels = exchange(
         adj.map_batches(init_labels, batch_format="pyarrow"), "node_id",
-        part_min,
+        part_min, batch_format="pyarrow",
     ).materialize()
 
     # A hash-join partition that receives ZERO rows on a side is built
@@ -308,7 +310,7 @@ def connected_components_join(
         ).select_columns(["node_id", "label"])
         new_labels = exchange(
             [nbr_labels, labels.select_columns(["node_id", "label"])],
-            "node_id", part_min,
+            "node_id", part_min, batch_format="pyarrow",
         ).materialize()
         changed = new_labels.join(
             labels,

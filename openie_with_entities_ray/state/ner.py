@@ -174,6 +174,10 @@ class DictionaryNER:
         self.max_words = (
             max(len(s.split()) for s in self.alias_dict) if self.alias_dict else 1
         )
+        # a candidate is a " ".join of words, so a match starting at a
+        # space-free word needs that word as its key's first " "-token:
+        # find_mentions skips every other space-free word before any join
+        self._first_words = {k.split(" ")[0] for k in self.alias_dict}
         # canonical-id embeddings computed once (actor __init__ amortization)
         self._id_vecs = {
             cid: _hash_vector(cid)
@@ -185,9 +189,14 @@ class DictionaryNER:
         """Greedy left-to-right longest match; overlapping matches skipped
         (data.py:52-66 overlap-skip semantics)."""
         mentions = []
+        first_words = self._first_words
         i = 0
         n = len(words)
         while i < n:
+            w = words[i]
+            if w not in first_words and " " not in w:
+                i += 1
+                continue
             matched = None
             for span in range(min(self.max_words, n - i), 0, -1):
                 surface = " ".join(words[i : i + span])

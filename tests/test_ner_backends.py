@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openie_with_entities_ray.state.ner import (
     CapitalizedRunNER,
@@ -114,6 +116,58 @@ def test_word_features_contract_matches_other_backends():
     assert ent_pos == [1, 0, 2, 2]
     d_ent, d_pos = DictionaryNER().word_features(words)
     assert len(d_ent) == len(ent) and len(d_pos) == len(ent_pos)
+
+
+def _unfiltered_find_mentions(ner, words):
+    """DictionaryNER.find_mentions without the first-word prefilter:
+    every span length is joined and probed at every word."""
+    out, i, n = [], 0, len(words)
+    while i < n:
+        for span in range(min(ner.max_words, n - i), 0, -1):
+            surface = " ".join(words[i:i + span])
+            if surface in ner.alias_dict:
+                out.append((i, i + span - 1, surface,
+                            ner.alias_dict[surface][0][1]))
+                i += span
+                break
+        else:
+            i += 1
+    return out
+
+
+_PREFIX_ALIASES = {
+    k: [(f"Q{j}", typ)]
+    for j, (k, typ) in enumerate([
+        ("Grace", "PER"), ("Grace Park", "PER"), ("Grace Hopper", "PER"),
+        ("Grace  Park", "LOC"), ("Park", "LOC"), (" Hopper", "MISC"),
+        ("Texas", "LOC"), ("Louisiana", "LOC"),
+        ("Texas Louisiana", "LOC"), ("Louisiana Purchase", "MISC"),
+    ])
+}
+_TOKENS = sorted({t for k in _PREFIX_ALIASES for t in k.split(" ")}) + [
+    "the", "of", "grace", "Grace Park", "Hopper ", "border", "Purchase",
+]
+
+
+@pytest.mark.parametrize("alias_dict", [_PREFIX_ALIASES, None],
+                         ids=["prefix_aliases", "default"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_find_mentions_prefilter_matches_unfiltered_loop(alias_dict, data):
+    """The first-word prefilter drops no match: spans, surfaces and
+    types equal the unfiltered greedy-longest loop on word lists mixing
+    alias tokens (keys sharing a first word, a double-space key, the
+    Texas/Louisiana overlap), words holding spaces, '' and noise."""
+    ner = DictionaryNER(alias_dict)
+    tokens = _TOKENS + sorted({t for k in ner.alias_dict
+                               for t in k.split(" ")})
+    words = data.draw(st.lists(
+        st.one_of(st.sampled_from(tokens), st.text(max_size=3)),
+        max_size=24,
+    ))
+    got = [(m.start, m.end, m.surface, m.type)
+           for m in ner.find_mentions(words)]
+    assert got == _unfiltered_find_mentions(ner, words)
 
 
 def test_flair_spacy_import_gates_and_fake_pipelines():

@@ -185,6 +185,99 @@ def test_canonicalize_combiner_bounds_shuffle(ray_session):
     assert counts["hooli"] == 1000
 
 
+def _canonical_oracle(blocks):
+    """Pure-Python nodes and predicate counts of ``blocks``: the
+    ``node_of`` key rule, a Counter of mentions and the code-point min
+    raw surface per node."""
+    from openie_with_entities_ray.stages.canonical import (
+        canonical_id,
+        normalize_surface,
+    )
+
+    counts, surface, rels = (collections.Counter(), {},
+                             collections.Counter())
+    for b in blocks:
+        for row in b.to_pylist():
+            for col, ents_col in (("arg1", "subj_ents"),
+                                  ("arg2", "obj_ents")):
+                v, es = row[col] or "", row[ents_col]
+                key = ((es[0], True) if es is not None and len(es) == 1
+                       else (normalize_surface(v), False))
+                counts[key] += 1
+                surface[key] = min(surface.get(key, v), v)
+            rel = normalize_surface(row["rel"] or "")
+            if rel:
+                rels[rel] += 1
+    nodes = sorted(
+        (n if e else canonical_id(n), n, surface[(n, e)], c)
+        for (n, e), c in counts.items()
+    )
+    return nodes, sorted(rels.items())
+
+
+@pytest.mark.parametrize("num_parts", [1, 3, 64])
+def test_canonicalize_surfaces_matches_python_oracle(ray_session, num_parts):
+    """The nodes table (and predicate counts) equal a Counter + ``min``
+    oracle under any part count: surfaces that differ only after an
+    embedded NUL stay distinct, the kept surface is the code-point min
+    (U+FFFF sorts before U+1F600 there, after it in UTF-16), empty and
+    punctuation-only arguments are one '' node, and an entity-linked
+    argument is its own node beside a surface node of the same text.
+    Rows of one key sit in different blocks, so the merge (not only
+    the per-batch combiner) decides every count and min."""
+    import pyarrow as pa
+    import ray.data
+
+    from openie_with_entities_ray.stages.canonical import (
+        canonicalize_surfaces,
+        predicate_frequencies,
+    )
+
+    ents = pa.list_(pa.string())
+    rows = [
+        ("Ali\x00ce", None, "lives\x00in", "Ac\x00me", ["acme corp"]),
+        ("Ali\x00cf", None, "lives\x00im", "acme corp", None),
+        ("ali\x00ce!", [], "lives\x00in", "Acme Corp", ["acme corp"]),
+        ("\uffff", ["Q_x"], "", "!!!", None),
+        ("\U0001F600", ["Q_x"], "...", "", ["Q_a", "Q_b"]),
+        (None, None, None, "Acme, Corp.", None),
+        ("acme corp", ["acme corp"], "Founded", "\U0001F600x", None),
+        ("Acme Corp", None, "founded", "\uffffx", None),
+    ]
+    blocks = [
+        pa.table(
+            {
+                "arg1": pa.array([a1], pa.string()),
+                "subj_ents": pa.array([e1], ents),
+                "rel": pa.array([r], pa.string()),
+                "arg2": pa.array([a2], pa.string()),
+                "obj_ents": pa.array([e2], ents),
+            }
+        )
+        for a1, e1, r, a2, e2 in rows
+    ]
+    want_nodes, want_rels = _canonical_oracle(blocks)
+    assert ("Q_x", "Q_x", "\uffff", 2) in want_nodes
+    assert len({n for _, n, _, _ in want_nodes}) < len(want_nodes)
+
+    nodes = canonicalize_surfaces(ray.data.from_arrow(blocks),
+                                  num_parts=num_parts)
+    got = sorted(
+        (r["node_id"], r["surface_norm"], r["surface"], r["n_mentions"])
+        for r in nodes.take_all()
+    )
+    assert got == want_nodes
+    schema = nodes.schema()
+    assert dict(zip(schema.names, schema.types))["n_mentions"] == pa.int64()
+
+    freqs = predicate_frequencies(ray.data.from_arrow(blocks),
+                                  num_parts=num_parts).take_all()
+    assert sorted((r["rel_norm"], r["n"]) for r in freqs) == want_rels
+    assert [r["n"] for r in freqs] == sorted(
+        (r["n"] for r in freqs), reverse=True
+    )
+
+
 def test_adversarial_content(ray_session):
     """Nasty documents (marker tokens inside content, curly quotes,
     control chars, emoji, glued punctuation, monster tokens, empty
