@@ -14,8 +14,14 @@ is a local/NFS glob; object-store URIs need a filesystem listing step
 with a clear error rather than silently matching nothing. Input shards
 (the source table's files) are the unit of resume: finished shards are
 skipped via their manifests, so re-submitting the same job after a
-failure completes only the remaining work and yields byte-identical
-output (tests/test_pipeline.py::test_resumable_materialize).
+failure — a SIGKILL included — completes only the remaining work and
+yields byte-identical output (tests/test_resumable.py). Row groups are
+the unit of work (a large row group is cut into at most eight runs of
+whole batches): every pending shard's row groups run as tasks of one
+Ray execution, and each shard's manifest is committed when its last
+unit reports. A manifest records its shard's path and content stamp; a
+resume over a reordered list or a rewritten shard fails with "resume
+mismatch" (``--no-resume`` rebuilds everything).
 """
 
 from __future__ import annotations

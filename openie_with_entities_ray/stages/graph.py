@@ -6,16 +6,27 @@ Replaces the reference's append-mode output files
 unresumable file) with idempotent per-partition Parquet + a manifest:
 
     out_dir/
-      edges/part=<k>/...parquet      (one partition per input shard —
+      edges/part=<k>/rg-<i>-<s>.parquet
+                                     (one partition per input shard,
+                                      one file per work unit that
+                                      yields edges: row group i's rows
+                                      from s on —
                                       flagship.resumable_materialize
                                       binds part k to input_shards[k])
+      edges/_manifests/part-<k>.json {"partition": k, "rows": n,
+                                      "elapsed_s": ..., "input": shard,
+                                      "stamp": [bytes, mtime_ns]}
       nodes/...parquet
-      _manifests/part-<k>.json       {"partition": k, "rows": n,
-                                      "elapsed_s": ..., "input": shard}
 
 Resume = anti-join of existing manifests against the partition plan: a
 re-run processes only partitions whose manifest is missing, then yields
 byte-identical output (every stage is a pure function of the input rows).
+A manifest's ``elapsed_s`` is the seconds spent building its partition:
+:func:`write_partition`'s wall time, or the sum of the work units' task
+times in ``resumable_materialize``.
+The other manifest-tracked jobs write ``<dir>/part=<k>/`` through
+:func:`write_partition`; every manifest lands through
+:func:`commit_partition`.
 """
 
 from __future__ import annotations
@@ -280,15 +291,15 @@ def _manifest_path(out_dir: str, part: int) -> str:
     return os.path.join(out_dir, "_manifests", f"part-{part}.json")
 
 
-def manifest_input(out_dir: str, part: int):
-    """The ``input`` field a completed partition's manifest recorded
-    (shard path lineage), or None when absent/unreadable — resume
-    callers compare it against the shard they are about to skip."""
+def read_manifest(out_dir: str, part: int) -> dict:
+    """A completed partition's manifest, or ``{}`` when absent/unreadable
+    — resume callers compare its lineage (``input``, ``stamp``) against
+    the shard they are about to skip."""
     try:
         with open(_manifest_path(out_dir, part)) as f:
-            return json.load(f).get("input")
+            return json.load(f)
     except (OSError, ValueError):
-        return None
+        return {}
 
 
 def completed_partitions(out_dir: str) -> set:
@@ -300,6 +311,23 @@ def completed_partitions(out_dir: str) -> set:
         if name.startswith("part-") and name.endswith(".json"):
             done.add(int(name[len("part-") : -len(".json")]))
     return done
+
+
+def clear_partition(out_dir: str, part: int) -> str:
+    """Delete partition ``part``'s manifest, then its files (a crashed or
+    non-resumed earlier attempt): manifest first, so a crash in between
+    can never leave a manifest over missing files. Returns the
+    partition's directory."""
+    import shutil
+
+    try:
+        os.remove(_manifest_path(out_dir, part))
+    except FileNotFoundError:
+        pass
+    dest = os.path.join(out_dir, f"part={part}")
+    if os.path.isdir(dest):
+        shutil.rmtree(dest)  # a failed delete raises: no leftovers kept
+    return dest
 
 
 def write_partition(ds_part, out_dir: str, part: int, extra_meta=None,
@@ -315,15 +343,12 @@ def write_partition(ds_part, out_dir: str, part: int, extra_meta=None,
     ``partition_cols`` hive-partitions the rows WITHIN the partition dir
     (``part=<k>/<col>=<v>/...``) so downstream readers can prune at the
     storage level (jobs/ann_job.py prunes IVF buckets this way)."""
-    import shutil
     import time
 
     import pyarrow.dataset as pads
 
     t0 = time.perf_counter()
-    dest = os.path.join(out_dir, f"part={part}")
-    if os.path.isdir(dest):
-        shutil.rmtree(dest)  # crashed earlier attempt: manifest is absent
+    dest = clear_partition(out_dir, part)
     if partition_cols:
         ds_part.write_parquet(dest, partition_cols=list(partition_cols))
     else:
@@ -342,6 +367,13 @@ def write_partition(ds_part, out_dir: str, part: int, extra_meta=None,
     }
     if extra_meta:
         meta.update(extra_meta)
+    return commit_partition(out_dir, part, meta)
+
+
+def commit_partition(out_dir: str, part: int, meta: dict) -> dict:
+    """Declare partition ``part`` done: write its manifest atomically
+    (tmp file + rename), so a crash leaves either no manifest or a whole
+    one. Returns ``meta``."""
     os.makedirs(os.path.join(out_dir, "_manifests"), exist_ok=True)
     tmp = _manifest_path(out_dir, part) + ".tmp"
     with open(tmp, "w") as f:

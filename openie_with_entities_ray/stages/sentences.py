@@ -83,7 +83,12 @@ def _explode_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def docs_to_sentences(docs_ds, *, batch_size: int = 256):
+# docs per explode batch: docs_to_sentences' Ray batches and the row-group
+# streams of flagship.resumable_materialize's work units
+DOCS_BATCH = 256
+
+
+def docs_to_sentences(docs_ds, *, batch_size: int = DOCS_BATCH):
     """source_docs Dataset → sentences Dataset (SENTENCES schema)."""
     return docs_ds.map_batches(
         _explode_batch, batch_format="pyarrow", batch_size=batch_size

@@ -1,0 +1,274 @@
+"""flagship.resumable_materialize: row-group work units in one Ray
+execution, shard-level manifests.
+
+Parity is checked against an independent per-shard oracle: the same
+callables applied to the whole shard table in one process, with no Ray,
+no row-group split and no batching. A resume must survive a SIGKILL of
+the whole run and refuse a shard rewritten since its manifest.
+"""
+
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from openie_with_entities_ray.sources.source_docs import synthetic_doc
+
+SEED = 42
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _docs_table(lo: int, hi: int) -> pa.Table:
+    docs = [synthetic_doc(i, SEED) for i in range(lo, hi)]
+    return pa.table({c: [d[c] for d in docs] for c in docs[0]})
+
+
+def _write_shard(path, table, **kwargs) -> str:
+    pq.write_table(table, path, **kwargs)
+    return str(path)
+
+
+def _oracle_edges(table: pa.Table, with_entities: bool) -> pa.Table:
+    """Shard k's edges without the engine: explode → fused extractor →
+    edges over the whole shard table at once."""
+    from openie_with_entities_ray.stages.entity import (
+        FusedExtractorWithEntities,
+    )
+    from openie_with_entities_ray.stages.extract import FusedExtractor
+    from openie_with_entities_ray.stages.graph import triples_to_edges
+    from openie_with_entities_ray.stages.sentences import _explode_batch
+
+    kernel = (FusedExtractorWithEntities if with_entities
+              else FusedExtractor)(seed=777)
+    return triples_to_edges(kernel(_explode_batch(table)))
+
+
+def _rows(table: pa.Table) -> list:
+    names = sorted(table.column_names)
+    return sorted(zip(*(table.column(n).to_pylist() for n in names)))
+
+
+def _part_files(out, part: int) -> list:
+    d = os.path.join(out, "edges", f"part={part}")
+    return sorted(os.listdir(d)) if os.path.isdir(d) else []
+
+
+def _part_rows(out, part: int) -> list:
+    files = _part_files(out, part)
+    if not files:
+        return []
+    d = os.path.join(out, "edges", f"part={part}")
+    return _rows(pa.concat_tables(
+        [pq.read_table(os.path.join(d, f)) for f in files]
+    ))
+
+
+@pytest.mark.parametrize("with_entities", [False, True])
+def test_resumable_materialize_matches_per_shard_oracle(
+    ray_session, tmp_path, with_entities
+):
+    """Several row groups per shard, a 0-row shard (one empty row group),
+    a shard with no row group at all and a row group cut into several
+    units: every partition holds exactly its oracle's edges, one
+    ``rg-<i>-<start>.parquet`` per unit with edges."""
+    from openie_with_entities_ray.pipelines.flagship import (
+        resumable_materialize,
+    )
+
+    from openie_with_entities_ray.stages.sentences import DOCS_BATCH
+
+    multi = _docs_table(0, 30)
+    empty = multi.slice(0, 0)
+    # one row group of 2 batches and a bit: three units
+    tables = [multi, empty, empty, _docs_table(30, 70 + 2 * DOCS_BATCH)]
+    shards = [
+        _write_shard(tmp_path / "s0.parquet", multi, row_group_size=7),
+        _write_shard(tmp_path / "s1.parquet", empty),
+        str(tmp_path / "s2.parquet"),
+        _write_shard(tmp_path / "s3.parquet", tables[3]),
+    ]
+    pq.ParquetWriter(shards[2], multi.schema).close()  # 0 row groups
+    assert pq.ParquetFile(shards[0]).metadata.num_row_groups == 5
+    assert pq.ParquetFile(shards[2]).metadata.num_row_groups == 0
+
+    out = tmp_path / "out"
+    manifests, skipped = resumable_materialize(
+        shards, str(out), with_entities=with_entities
+    )
+    assert skipped == []
+    assert [m["partition"] for m in manifests] == [0, 1, 2, 3]
+    for part, table in enumerate(tables):
+        want = _rows(_oracle_edges(table, with_entities))
+        assert _part_rows(out, part) == want, part
+        assert manifests[part]["rows"] == len(want)
+        assert manifests[part]["input"] == shards[part]
+    assert manifests[0]["rows"] > 0
+    assert _part_files(out, 0) == [f"rg-{i}-0.parquet" for i in range(5)]
+    assert _part_files(out, 1) == _part_files(out, 2) == []
+    assert _part_files(out, 3) == [
+        f"rg-0-{s}.parquet" for s in (0, DOCS_BATCH, 2 * DOCS_BATCH)
+    ]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 2048, 2049, 100_000])
+def test_shard_units_cover_row_groups_in_whole_batches(tmp_path, rows):
+    """A row group's units cover its rows exactly, in order, start on a
+    ``DOCS_BATCH`` boundary and number at most ``UNIT_SPLIT``."""
+    from openie_with_entities_ray.pipelines.flagship import (
+        UNIT_SPLIT,
+        _shard_units,
+    )
+    from openie_with_entities_ray.stages.sentences import DOCS_BATCH
+
+    path = _write_shard(tmp_path / "s.parquet",
+                        pa.table({"x": pa.array(range(rows), pa.int64())}),
+                        row_group_size=max(rows, 1))
+    units = _shard_units(7, path)
+    assert all(u["part"] == 7 and u["row_group"] == 0 for u in units)
+    assert len(units) <= UNIT_SPLIT
+    spans = [(u["start"], u["stop"]) for u in units]
+    bounds = [0] + [b for _, b in spans]
+    assert spans == list(zip(bounds, bounds[1:])) and bounds[-1] == rows
+    assert all(a % DOCS_BATCH == 0 and b > a for a, b in spans)
+    assert len(units) == min(UNIT_SPLIT, -(-rows // DOCS_BATCH))
+
+
+def test_resumable_materialize_runs_one_execution(ray_session, monkeypatch,
+                                                  tmp_path):
+    """All pending shards run in ONE Ray execution of the unit kernel,
+    not one execution per shard."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from openie_with_entities_ray.pipelines.flagship import (
+        resumable_materialize,
+    )
+
+    plans = []
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, dag, *args, **kwargs):
+        names, todo = [], [dag]
+        while todo:
+            op = todo.pop()
+            names.append(op.name)
+            todo.extend(op.input_dependencies)
+        plans.append(names)
+        return real_execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    shards = [
+        _write_shard(tmp_path / f"s{k}.parquet", _docs_table(k * 8, k * 8 + 8))
+        for k in range(3)
+    ]
+    manifests, _ = resumable_materialize(shards, str(tmp_path / "out"))
+    assert len(manifests) == 3
+    assert len(plans) == 1, plans
+    assert "MapBatches(_EdgeUnitWriter)" in plans[0], plans
+
+
+def test_resume_rejects_changed_shard(ray_session, tmp_path):
+    """A completed partition whose shard was rewritten since its
+    manifest's stamp refuses to resume; a manifest without a stamp (an
+    older run's) still resumes on its path alone."""
+    from openie_with_entities_ray.pipelines.flagship import (
+        resumable_materialize,
+    )
+
+    tables = [_docs_table(0, 6), _docs_table(6, 12)]
+    shards = [_write_shard(tmp_path / f"s{k}.parquet", t)
+              for k, t in enumerate(tables)]
+    out = tmp_path / "out"
+    resumable_materialize(shards, str(out))
+
+    manifest = out / "edges" / "_manifests" / "part-0.json"
+    meta = json.loads(manifest.read_text())
+    st = os.stat(shards[0])
+    assert meta["stamp"] == [st.st_size, st.st_mtime_ns]
+    _write_shard(shards[0], tables[0])  # same bytes, new generation
+    os.utime(shards[0], ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    with pytest.raises(ValueError, match="resume mismatch"):
+        resumable_materialize(shards, str(out))
+
+    del meta["stamp"]
+    manifest.write_text(json.dumps(meta))
+    manifests, skipped = resumable_materialize(shards, str(out))
+    assert manifests == [] and skipped == [0, 1]
+
+
+_KILLED_RUN = """
+import sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from openie_with_entities_ray.pipelines.flagship import resumable_materialize
+resumable_materialize(sys.argv[2:], sys.argv[1])
+"""
+
+
+def test_resumable_materialize_survives_sigkill(ray_session, tmp_path):
+    """SIGKILL a run (driver and its whole Ray session) once its first
+    manifest lands; the in-process resume completes the rest and every
+    partition equals a clean run's, with no stale row-group file left in
+    a rebuilt partition."""
+    from openie_with_entities_ray.pipelines.flagship import (
+        resumable_materialize,
+    )
+
+    shards = [
+        _write_shard(tmp_path / "s0.parquet", _docs_table(0, 40)),
+        _write_shard(tmp_path / "s1.parquet", _docs_table(40, 100),
+                     row_group_size=12),
+        _write_shard(tmp_path / "s2.parquet", _docs_table(100, 140)),
+        _write_shard(tmp_path / "s3.parquet", _docs_table(140, 180)),
+    ]
+    out = tmp_path / "killed"
+    mdir = out / "edges" / "_manifests"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_RUN, str(out), *shards],
+        cwd=REPO, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 240
+        while not (mdir.is_dir() and any(
+            n.endswith(".json") for n in os.listdir(mdir)
+        )):
+            assert proc.poll() is None, proc.stderr.read()[-2000:]
+            assert time.monotonic() < deadline, "no manifest in time"
+            time.sleep(0.01)
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stderr.close()
+
+    committed = {int(n[len("part-"):-len(".json")])
+                 for n in os.listdir(mdir) if n.endswith(".json")}
+    assert 0 < len(committed) < 4, committed  # killed mid-run
+    # a leftover from an earlier generation of every unfinished partition
+    for part in set(range(4)) - committed:
+        stale = out / "edges" / f"part={part}"
+        stale.mkdir(parents=True, exist_ok=True)
+        pq.write_table(pa.table({"src": ["stale"]}), stale / "rg-99.parquet")
+
+    manifests, skipped = resumable_materialize(shards, str(out))
+    assert sorted(skipped) == sorted(committed)
+    assert [m["partition"] for m in manifests] == sorted(
+        set(range(4)) - committed
+    )
+
+    clean = tmp_path / "clean"
+    resumable_materialize(shards, str(clean), resume=False)
+    for part in range(4):
+        assert _part_files(out, part) == _part_files(clean, part), part
+        assert _part_rows(out, part) == _part_rows(clean, part), part
+    assert len(_part_files(clean, 1)) == 5
