@@ -299,80 +299,8 @@ def run_scaling() -> dict:
     }
 
 
-def run_scaling_hunt(max_windows: int = 6, tol: float = 0.05,
-                     bar: float = 0.8) -> dict:
-    """Round-4 protocol automation (VERDICT.md r3 item 3): run up to
-    ``max_windows`` interleaved scaling windows and stop at the first
-    whose pre/post hardware ceilings agree within ``tol`` AND whose raw
-    efficiency clears ``bar`` — or whose same-window ceiling is itself
-    below ``bar``, proving this box cannot express the bar in that
-    weather. Publishes the picked window's RAW efficiency as the
-    headline value plus every window's numbers for falsifiability.
-
-    Ranked pick when no window terminates the hunt early: the
-    best-raw-efficiency window among ceiling-stable ones (all windows if
-    none were stable)."""
-    windows = []
-    for w in range(max_windows):
-        res = run_scaling()
-        res["window"] = w + 1
-        stable = (
-            abs(res["hw_ceiling_pre"] - res["hw_ceiling_post"]) <= tol
-        )
-        res["ceiling_stable"] = stable
-        windows.append(res)
-        print(
-            json.dumps(
-                {
-                    "window": w + 1,
-                    "raw_eff": res["value"],
-                    "ceiling_pre": res["hw_ceiling_pre"],
-                    "ceiling_post": res["hw_ceiling_post"],
-                    "stable": stable,
-                }
-            ),
-            file=sys.stderr,
-        )
-        if stable and (
-            res["value"] >= bar or res["hw_per_proc_ceiling"] < bar
-        ):
-            break
-        time.sleep(20)
-
-    stable_windows = [r for r in windows if r["ceiling_stable"]]
-    pick = max(stable_windows or windows, key=lambda r: r["value"])
-    out = dict(pick)
-    out["metric"] = "scaling_efficiency_hunt"
-    out["windows_run"] = len(windows)
-    out["bar"] = bar
-    out["ceiling_tol"] = tol
-    out["bar_met_raw"] = bool(
-        pick["ceiling_stable"] and pick["value"] >= bar
-    )
-    out["box_cannot_express_bar"] = bool(
-        pick["ceiling_stable"]
-        and pick["value"] < bar
-        and pick["hw_per_proc_ceiling"] < bar
-    )
-    out["all_windows"] = [
-        {
-            k: r[k]
-            for k in (
-                "window", "value", "sec_lo", "sec_hi",
-                "hw_ceiling_pre", "hw_ceiling_post", "ceiling_stable",
-                "bus_normalized_efficiency",
-            )
-        }
-        for r in windows
-    ]
-    return out
-
-
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
-        if "--hunt" in sys.argv:
-            print(json.dumps(run_scaling_hunt()))
-        else:
-            print(json.dumps(run_scaling()))
+        print(json.dumps(run_scaling()))
     else:
         print(json.dumps(run_bench()))

@@ -23,7 +23,7 @@ atomic tmp+rename manifests; a re-run skips every finished unit):
 2. ``keepers/part=<p>`` — global exact dedup at hash granularity: for
    each of the 16 sha256 hex prefixes, the min-doc_id keeper per
    distinct hash over ALL clean shards (parquet predicate pushdown on
-   ``sha_prefix``, per-batch combiner, coarse crc32 partition — never
+   ``sha_prefix``, per-batch combiner, ``exchange`` on the hash — never
    one Ray group per hash). 16 independent resumable units.
 3. ``survivors/part=<k>`` — per shard: clean rows whose doc_id IS the
    keeper for their hash (inner hash join on the hash + vectorized
@@ -115,18 +115,15 @@ def clean_shard(shard_path: str, *, min_words: int = 20,
 
 def keeper_partition(clean_files, prefix: int):
     """Min-doc_id keeper per distinct content hash, for one sha prefix:
-    per-batch combiner → coarse crc32(sha) partition → vectorized
+    per-batch combiner → ``exchange`` on the hash → vectorized
     per-part min. Emits (content_sha256, keeper_id)."""
-    import zlib
-
     import pandas as pd
     import pyarrow as pa
     import pyarrow.dataset as pads
     import ray.data
 
-    from openie_with_entities_ray.stages.dataops import _cluster_parts
+    from openie_with_entities_ray.stages.exchange import exchange
 
-    num_parts = _cluster_parts()
     ds = ray.data.read_parquet(
         clean_files,
         columns=["doc_id", "content_sha256", "sha_prefix"],
@@ -138,10 +135,6 @@ def keeper_partition(clean_files, prefix: int):
         agg = df.groupby("content_sha256", as_index=False).agg(
             keeper_id=("doc_id", "min")
         )
-        agg["part"] = [
-            zlib.crc32(s.encode()) % num_parts
-            for s in agg["content_sha256"]
-        ]
         return pa.Table.from_pandas(agg, preserve_index=False)
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
@@ -149,11 +142,7 @@ def keeper_partition(clean_files, prefix: int):
             keeper_id=("keeper_id", "min")
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(ds, "content_sha256", merge, combine=partial)
 
 
 def survivors_partition(clean_part_files, keeper_files):

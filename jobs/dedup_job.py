@@ -123,10 +123,7 @@ def run_cross_shard(shards, out_dir: str, method: str = "minhash", *,
         num_bands = 4
         sig_columns = ["doc_id", "band", "band_key", "simhash"]
 
-        def signatures(docs):
-            # the one-shot pipeline's part key is dropped at the parquet
-            # write; the global stage recomputes it after the band filter
-            return simhash_signatures(docs).drop_columns(["part"])
+        signatures = simhash_signatures
 
         def band_pairs(sig_ds):
             return simhash_band_pairs(sig_ds, max_hamming=3)

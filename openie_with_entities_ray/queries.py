@@ -22,6 +22,7 @@ import pyarrow as pa
 
 from . import oracles
 from .memo import cached_read_parquet, dataset_memo
+from .stages.exchange import exchange
 
 _ANN_SEED = 123
 _ANN_K = 10
@@ -915,21 +916,14 @@ def q_top_customers(sf_dir):
     merge phase is the coarse-partition shape (groupby part →
     vectorized pandas groupby inside) rather than a per-key Ray
     aggregate at ~1 ms/group."""
-    import ray.data
-
-    from .stages.dataops import _cluster_parts
-
     orders = cached_read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
-    num_parts = _cluster_parts()
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("o_custkey", as_index=False).agg(
+        return batch.groupby("o_custkey", as_index=False).agg(
             total=("o_totalprice", "sum"), n_orders=("o_totalprice", "size")
         )
-        g["part"] = g["o_custkey"] % num_parts
-        return g
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby("o_custkey", as_index=False).agg(
@@ -941,9 +935,11 @@ def q_top_customers(sf_dir):
         return out[["o_custkey", "total_cents", "n_orders"]]
 
     return (
-        orders.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+        exchange(
+            orders.map_batches(partial, batch_format="pandas",
+                               batch_size=65536),
+            "o_custkey", merge,
+        )
         .sort(["total_cents", "o_custkey"], descending=[True, False])
         .limit(10)
     )
@@ -963,33 +959,21 @@ def q_events_windows(sf_dir):
 
     The final aggregate has thousands of (event_type, window_h) groups
     and Ray pays ~1 ms of Python per aggregate group, so the second
-    phase is the coarse-partition shape: groupby a cluster-scaled part
-    key, vectorized pandas groupby inside (same trick as
+    phase is the coarse-partition shape: ``exchange`` on the group key,
+    vectorized pandas groupby inside (same trick as
     ``distinct_pairs``) — the shuffle moves only per-batch partial rows
     either way."""
-    import zlib
-
-    import ray.data
-
-    from .stages.dataops import _cluster_parts
-
     ev = cached_read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     )
-    num_parts = _cluster_parts()
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         # parquet timestamps arrive as datetime64[us]; normalize to ns
         ts_ns = batch["ts"].astype("datetime64[ns]").astype("int64")
         batch["window_h"] = ts_ns // (3600 * 10**9)
-        g = batch.groupby(["event_type", "window_h"], as_index=False).agg(
+        return batch.groupby(["event_type", "window_h"], as_index=False).agg(
             n_events=("value", "size"), sum_value=("value", "sum")
         )
-        g["part"] = [
-            (zlib.crc32(t.encode()) + int(w)) % num_parts
-            for t, w in zip(g["event_type"], g["window_h"])
-        ]
-        return g
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby(["event_type", "window_h"], as_index=False).agg(
@@ -1000,10 +984,9 @@ def q_events_windows(sf_dir):
         ]
         return out
 
-    return (
-        ev.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return exchange(
+        ev.map_batches(partial, batch_format="pandas", batch_size=65536),
+        ["event_type", "window_h"], merge,
     )
 
 
@@ -1020,30 +1003,13 @@ def q_sessionize(sf_dir):
     """Session windows over the event stream: a >30-min gap starts a new
     session.
 
-    Scale shape: coarse hash partition on user_id (cluster-scaled part
-    count, the ``distinct_pairs`` idiom) and ONE vectorized pandas
+    Scale shape: ``exchange`` on user_id (cluster-scaled part count,
+    the ``distinct_pairs`` idiom) and ONE vectorized pandas
     sort + gap computation per part — never ``groupby(user_id)`` with a
     Python call per user (~1 ms/group at 1e8 users is a wall)."""
-    import zlib
-
-    import ray.data
-
-    from .stages.dataops import _cluster_parts
-
     ev = cached_read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    num_parts = _cluster_parts()
-
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        uid = batch["user_id"]
-        if pd.api.types.is_integer_dtype(uid):
-            batch["part"] = uid.astype("int64") % num_parts
-        else:
-            batch["part"] = [
-                zlib.crc32(str(u).encode("utf-8")) % num_parts for u in uid
-            ]
-        return batch
 
     def sessions(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts"])
@@ -1058,11 +1024,7 @@ def q_sessionize(sf_dir):
         out["n_sessions"] = out["n_sessions"] + 1
         return out[["user_id", "n_events", "n_sessions"]]
 
-    return (
-        ev.map_batches(add_part, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(sessions, batch_format="pandas")
-    )
+    return exchange(ev, "user_id", sessions)
 
 
 SQL_SESSIONIZE = """
@@ -1405,34 +1367,23 @@ def q_components(sf_dir):
 def q_component_sizes(sf_dir):
     """Component-size table over the KG (the how-fragmented-is-the-graph
     diagnostic): per-batch pre-count of the CC labeling →
-    crc32(component) coarse partition → in-part merge. Composes the
+    ``exchange`` on the component → in-part merge. Composes the
     100-TB CC path (labels stay a Dataset) with one extra shuffle of
     pre-counted rows."""
-    import zlib
-
-    from .stages.dataops import _cluster_parts
-
     comp = q_components(sf_dir)
-    num_parts = _cluster_parts()
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby("component", as_index=False).agg(
+        return b.groupby("component", as_index=False).agg(
             n_nodes=("component", "size")
         )
-        g["part"] = [
-            zlib.crc32(c.encode()) % num_parts for c in g["component"]
-        ]
-        return g
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("component", as_index=False).agg(
             n_nodes=("n_nodes", "sum")
         )
 
-    return (
-        comp.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return exchange(
+        comp.map_batches(partial, batch_format="pandas"), "component", merge
     )
 
 
@@ -1450,26 +1401,15 @@ def _khop_edges_and_seeds(sf_dir):
     stages/graph_algos.py:khop_neighbors — one broadcast-filtered edge
     pass per hop, only new neighbor ids return to the driver). Edges
     are materialized once since the expansion scans them per hop."""
-    from .pipelines.flagship import build_graph, extract_triples
-
-    import zlib
-
-    from .stages.dataops import _cluster_parts
-
     edges = _shared_graph_edges(sf_dir)
     edges = edges.select_columns(["src", "dst"]).materialize()
-    num_parts = _cluster_parts()
 
     # seeds = the 3 sources with the largest distinct-dst fan-out (so
     # the expansion actually reaches hop 2): per-batch distinct pairs →
-    # crc32(src) coarse partition (every (src,*) row lands together, so
+    # ``exchange`` on src (every (src,*) row lands together, so
     # nunique is exact) → tiny global sort+limit
     def pair_partial(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.drop_duplicates(["src", "dst"]).copy()
-        out["part"] = [
-            zlib.crc32(s.encode("utf-8")) % num_parts for s in out["src"]
-        ]
-        return out
+        return b.drop_duplicates(["src", "dst"])
 
     def fanout(g: pd.DataFrame) -> pd.DataFrame:
         sk = pd.Series(
@@ -1483,9 +1423,8 @@ def _khop_edges_and_seeds(sf_dir):
         ).head(3).reset_index(drop=True)
 
     seeds = list(
-        edges.map_batches(pair_partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(fanout, batch_format="pandas")
+        exchange(edges.map_batches(pair_partial, batch_format="pandas"),
+                 "src", fanout)
         .to_pandas()
         .sort_values(["c", "node"], ascending=[False, True])
         .head(3)["node"]
@@ -2315,29 +2254,17 @@ GROUP BY label, dim
 def q_user_event_pivot(sf_dir):
     """Pivot: one row per user with a count column per event_type (the
     feature-vector export shape). Per-batch (user, type) pre-counts →
-    crc32(user) coarse partition → in-kernel pandas pivot to the fixed
+    ``exchange`` on the user → in-kernel pandas pivot to the fixed
     type columns; one shuffle of pre-counted rows."""
-    import zlib
-
-    import ray.data
-
-    from .stages.dataops import _cluster_parts
-
     ev = cached_read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
     types = ["click", "error", "purchase", "signup", "view"]
-    num_parts = _cluster_parts()
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby(
+        return batch.groupby(
             ["user_id", "event_type"], as_index=False
         ).agg(n=("event_type", "size"))
-        g["part"] = [
-            zlib.crc32(str(u).encode()) % num_parts
-            for u in g["user_id"]
-        ]
-        return g
 
     def pivot(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["user_id", "event_type"], as_index=False).agg(
@@ -2357,10 +2284,9 @@ def q_user_event_pivot(sf_dir):
             {"user_id": "int64"}
         )
 
-    return (
-        ev.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(pivot, batch_format="pandas")
+    return exchange(
+        ev.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "user_id", pivot,
     )
 
 
@@ -2776,16 +2702,9 @@ def q_hopping_windows(sf_dir):
     window w covers [w*30min, w*30min + 1h). Same combiner →
     coarse-partition shape as the tumbling ``events_windows``; the
     explode is a two-copy concat inside the batch kernel."""
-    import zlib
-
-    import ray.data
-
-    from .stages.dataops import _cluster_parts
-
     ev = cached_read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     )
-    num_parts = _cluster_parts()
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         ts_ns = batch["ts"].astype("datetime64[ns]").astype("int64")
@@ -2797,14 +2716,9 @@ def q_hopping_windows(sf_dir):
             ],
             ignore_index=True,
         )
-        g = two.groupby(["event_type", "window_id"], as_index=False).agg(
+        return two.groupby(["event_type", "window_id"], as_index=False).agg(
             n_events=("value", "size"), sum_value=("value", "sum")
         )
-        g["part"] = [
-            (zlib.crc32(t.encode()) + int(wi)) % num_parts
-            for t, wi in zip(g["event_type"], g["window_id"])
-        ]
-        return g
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby(
@@ -2813,10 +2727,9 @@ def q_hopping_windows(sf_dir):
         out["sum_value_cents"] = [_cents(v) for v in out.pop("sum_value")]
         return out
 
-    return (
-        ev.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return exchange(
+        ev.map_batches(partial, batch_format="pandas", batch_size=65536),
+        ["event_type", "window_id"], merge,
     )
 
 
@@ -2842,16 +2755,13 @@ def q_doc_top_terms(sf_dir):
     partitioned df counts, a hash JOIN back on term (never a
     driver-side vocabulary), grouped_topk for the per-doc argmax.
     Pandas groupbys key on utf-8 BYTES (NUL-safe discipline)."""
-    import zlib
-
     import ray.data
 
-    from .stages.dataops import _cluster_parts, grouped_topk
+    from .stages.dataops import grouped_topk
 
     docs = cached_read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    num_parts = _cluster_parts()
 
     def tf_batch(batch: pd.DataFrame) -> pd.DataFrame:
         ex = (
@@ -2876,23 +2786,20 @@ def q_doc_top_terms(sf_dir):
     def df_partial(batch: pd.DataFrame) -> pd.DataFrame:
         # batch rows are (doc_id, term, tf): distinct per doc already
         b = batch.assign(term_b=batch["term"].str.encode("utf-8"))
-        g = b.groupby("term_b", as_index=False).size().rename(
+        return b.groupby("term_b", as_index=False).size().rename(
             columns={"size": "df"}
         )
-        g["part"] = [zlib.crc32(t) % num_parts for t in g["term_b"]]
-        return g
 
     def df_merge(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby("term_b", as_index=False).agg(df=("df", "sum"))
         out["term"] = out.pop("term_b").str.decode("utf-8")
         return out[["term", "df"]]
 
-    df_counts = (
+    df_counts = exchange(
         tokens_tf.map_batches(
             df_partial, batch_format="pandas", batch_size=65536
-        )
-        .groupby("part")
-        .map_groups(df_merge, batch_format="pandas")
+        ),
+        "term_b", df_merge,
     )
 
     from .stages.dataops import cluster_cpus
@@ -3455,29 +3362,22 @@ def q_order_count_distribution(sf_dir):
     """TPC-H Q13 shape: distribution of customers by order count,
     INCLUDING zero-order customers. No row-level join at all: a
     per-batch combiner over orders collapses to (custkey, c_count)
-    inside cluster-scaled parts, the SAME map_groups immediately folds
+    inside cluster-scaled parts, the SAME part kernel immediately folds
     to (c_count, custdist) partials, and a tiny groupby finishes. The
     c_count=0 row is total customers (parquet metadata count) minus the
     customers seen in orders — computed from the final few-dozen-row
     aggregate, so the driver never touches row-scale data."""
-    import zlib
-
     import ray.data
     from ray.data.aggregate import Sum
 
-    from .stages.dataops import _cluster_parts
-
-    num_parts = _cluster_parts()
     orders = cached_read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"]
     )
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("o_custkey", as_index=False).agg(
+        return batch.groupby("o_custkey", as_index=False).agg(
             c_count=("o_custkey", "size")
         )
-        g["part"] = g["o_custkey"].astype("int64") % num_parts
-        return g
 
     def per_part(group: pd.DataFrame) -> pd.DataFrame:
         per_cust = group.groupby("o_custkey", as_index=False).agg(
@@ -3489,9 +3389,11 @@ def q_order_count_distribution(sf_dir):
         return out[["c_count", "custdist"]]
 
     dist = (
-        orders.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+        exchange(
+            orders.map_batches(partial, batch_format="pandas",
+                               batch_size=65536),
+            "o_custkey", per_part,
+        )
         .groupby("c_count")
         .aggregate(Sum("custdist", alias_name="custdist"))
         .to_pandas()  # few dozen rows: one per distinct order count
@@ -3931,16 +3833,13 @@ FROM h
 def q_conversion_funnel(sf_dir):
     """Strict-order 3-step funnel (view → click → purchase): users with
     a view, users whose earliest click is after their earliest view,
-    users whose earliest purchase is after that click. ONE coarse hash
-    shuffle on user_id; inside each part the three steps are vectorized
+    users whose earliest purchase is after that click. ONE ``exchange``
+    on user_id; inside each part the three steps are vectorized
     pandas min-merges (never a Python loop per user). Output
     (step, n_users)."""
     import ray.data
     from ray.data.aggregate import Sum
 
-    from .stages.dataops import _cluster_parts
-
-    num_parts = _cluster_parts()
     ev = cached_read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
     )
@@ -3949,8 +3848,7 @@ def q_conversion_funnel(sf_dir):
         batch = batch[batch["event_type"].isin(["view", "click", "purchase"])]
         batch = batch.copy()
         batch["ts_us"] = batch["ts"].astype("datetime64[us]").astype("int64")
-        batch["part"] = batch["user_id"].astype("int64") % num_parts
-        return batch[["user_id", "ts_us", "event_type", "part"]]
+        return batch[["user_id", "ts_us", "event_type"]]
 
     def funnel(group: pd.DataFrame) -> pd.DataFrame:
         def first_after(etype: str, prev: pd.DataFrame) -> pd.DataFrame:
@@ -3979,9 +3877,10 @@ def q_conversion_funnel(sf_dir):
         )
 
     return (
-        ev.map_batches(prep, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(funnel, batch_format="pandas")
+        exchange(
+            ev.map_batches(prep, batch_format="pandas", batch_size=65536),
+            "user_id", funnel,
+        )
         .groupby("step")
         .aggregate(Sum("n_users", alias_name="n_users"))
     )
@@ -4132,18 +4031,13 @@ def q_shipping_priority(sf_dir):
     subset of the SF-scaled customer dimension — never a driver set),
     both fact tables are date-filtered and column-pruned BEFORE the
     hash join, the per-order revenue sum is a per-batch combiner →
-    coarse orderkey partition with a per-part top-10 prune, and only
+    ``exchange`` on the orderkey with a per-part top-10 prune, and only
     parts×10 rows reach the final sort."""
-    import zlib
-
     import pyarrow.compute as pc
-    import ray
-    import ray.data
 
-    from .stages.dataops import _cluster_parts, cluster_cpus
+    from .stages.dataops import cluster_cpus
     from .stages.joins import equi_join
 
-    num_parts = _cluster_parts()
     cutoff = pd.Timestamp("1997-06-01")
 
     def building_cust(batch: pa.Table) -> pa.Table:
@@ -4199,11 +4093,9 @@ def q_shipping_priority(sf_dir):
     )
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("l_orderkey", as_index=False).agg(
+        return batch.groupby("l_orderkey", as_index=False).agg(
             revenue_cents=("cents", "sum")
         )
-        g["part"] = g["l_orderkey"].astype("int64") % num_parts
-        return g
 
     def per_part_top(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("l_orderkey", as_index=False).agg(
@@ -4214,9 +4106,8 @@ def q_shipping_priority(sf_dir):
         ).head(10)
 
     return (
-        joined.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_part_top, batch_format="pandas")
+        exchange(joined.map_batches(partial, batch_format="pandas"),
+                 "l_orderkey", per_part_top)
         .sort(["revenue_cents", "l_orderkey"], descending=[True, False])
         .limit(10)
     )
@@ -4278,25 +4169,19 @@ FROM ranked GROUP BY event_type
 
 def q_event_type_cooccurrence(sf_dir):
     """Co-occurrence matrix over user behavior: for every unordered pair
-    of event types, how many users did both. ONE coarse shuffle on
+    of event types, how many users did both. ONE ``exchange`` on
     user_id; per part a vectorized distinct + in-memory pair expansion
     (pair domain is types², bounded); final aggregate over ≤ C(T,2)
     groups."""
     import ray.data
     from ray.data.aggregate import Sum
 
-    from .stages.dataops import _cluster_parts
-
-    num_parts = _cluster_parts()
     ev = cached_read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.drop_duplicates(["user_id", "event_type"])
-        batch = batch.copy()
-        batch["part"] = batch["user_id"].astype("int64") % num_parts
-        return batch
+    def distinct(batch: pd.DataFrame) -> pd.DataFrame:
+        return batch.drop_duplicates(["user_id", "event_type"])
 
     def pair_counts(group: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
@@ -4319,9 +4204,10 @@ def q_event_type_cooccurrence(sf_dir):
         )
 
     return (
-        ev.map_batches(add_part, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(pair_counts, batch_format="pandas")
+        exchange(
+            ev.map_batches(distinct, batch_format="pandas", batch_size=65536),
+            "user_id", pair_counts,
+        )
         .groupby(["type_a", "type_b"])
         .aggregate(Sum("n_users", alias_name="n_users"))
     )
@@ -4453,9 +4339,9 @@ def q_hard_negatives(sf_dir):
         batch_format="pyarrow",
     )
     top1 = ann_topk(emb, q, k=1).take_all()[0]["vec_id"]
-    c_star = labels.filter(
-        lambda r: r["lbl_id"] == top1
-    ).take_all()[0]["cluster"]
+    c_star = labels.filter(expr=f"lbl_id == {int(top1)}").take_all()[0][
+        "cluster"
+    ]
 
     tagged = equi_join(emb, labels, on="vec_id", right_on="lbl_id")
     negatives = tagged.filter(
@@ -4769,11 +4655,7 @@ def q_canonical_suppliers(sf_dir):
     min-label fixpoint) → canonical name per cluster, singletons mapping
     to themselves. The union-with-self-labels min makes the composition
     empty-safe (no-pairs inputs never hit a zero-row join)."""
-    import zlib
-
-    import ray.data
-
-    from .stages.dataops import _cluster_parts, edit_distance_join
+    from .stages.dataops import edit_distance_join
     from .stages.graph_algos import connected_components_join
 
     sup = cached_read_parquet(
@@ -4799,33 +4681,19 @@ def q_canonical_suppliers(sf_dir):
             }
         )
 
-    num_parts = _cluster_parts()
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part",
-            pa.array(
-                [
-                    zlib.crc32(n.encode()) % num_parts
-                    for n in batch.column("node_id").to_pylist()
-                ],
-                pa.int64(),
-            ),
+    def min_label(g: pa.Table) -> pa.Table:
+        # Arrow hash aggregate: NUL-safe, and its string min (utf-8 byte
+        # order = code-point order) runs without a Python call per name
+        out = g.group_by("node_id", use_threads=False).aggregate(
+            [("component", "min")]
+        )
+        return out.select(["node_id", "component_min"]).rename_columns(
+            ["s_name", "canonical"]
         )
 
-    def min_label(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(_k=[n.encode("utf-8") for n in g["node_id"]])
-        out = g.groupby("_k", as_index=False).agg(
-            s_name=("node_id", "first"), canonical=("component", "min")
-        )
-        return out[["s_name", "canonical"]]
-
-    return (
-        sup.map_batches(self_labels, batch_format="pyarrow")
-        .union(cc)
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(min_label, batch_format="pandas")
+    return exchange(
+        [sup.map_batches(self_labels, batch_format="pyarrow"), cc],
+        "node_id", min_label, batch_format="pyarrow",
     )
 
 
@@ -4907,34 +4775,22 @@ def q_retention_cohorts(sf_dir):
     """Cohort retention: users grouped by first-seen day, counted at
     each day offset they return — the standard growth-analytics rollup.
 
-    Shape: per-batch DISTINCT (user, day) partial → coarse crc32(user)
-    partition (a user's whole history lands in ONE part, so first-day
+    Shape: per-batch DISTINCT (user, day) partial → ``exchange`` on the
+    user (a user's whole history lands in ONE part, so first-day
     and offsets are computable in-kernel with vectorized pandas — never
     one Ray group per user) → tiny (cohort_day, offset) sum."""
-    import zlib
-
-    import ray.data
-
-    from .stages.dataops import _cluster_parts
-
     ev = cached_read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
     )
-    num_parts = _cluster_parts()
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         ts_ns = batch["ts"].astype("datetime64[ns]").astype("int64")
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "user_id": batch["user_id"],
                 "day": ts_ns // (86400 * 10**9),
             }
         ).drop_duplicates()
-        out["part"] = [
-            zlib.crc32(str(u).encode()) % num_parts
-            for u in out["user_id"]
-        ]
-        return out
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "day"])
@@ -4956,9 +4812,10 @@ def q_retention_cohorts(sf_dir):
     from ray.data.aggregate import Sum
 
     return (
-        ev.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+        exchange(
+            ev.map_batches(partial, batch_format="pandas", batch_size=65536),
+            "user_id", per_part,
+        )
         .groupby(["cohort_day", "offset_days"])
         .aggregate(Sum("n_users", alias_name="n_users"))
     )
@@ -4970,21 +4827,20 @@ def q_source_overlap(sf_dir):
     signal already used by duplicate_spans) appear in both — the
     standard fuzzy pre-mixing check before combining crawls/dumps.
 
-    Shape: per-batch distinct (fingerprint, source) partial → coarse
-    fingerprint partition (every holder of one fingerprint lands in one
-    part) → per-part source-pair expansion with pre-summed counts →
+    Shape: per-batch distinct (fingerprint, source) partial →
+    ``exchange`` on the fingerprint (every holder of one fingerprint
+    lands in one part) → per-part source-pair expansion with pre-summed
+    counts →
     tiny (source_a, source_b) sum. Source cardinality is small by
     nature; fingerprints never leave the workers."""
     import ray.data
     from ray.data.aggregate import Sum
 
     from .functions.textstats import winnow_fingerprints
-    from .stages.dataops import _cluster_parts
 
     docs = cached_read_parquet(
         f"{sf_dir}/documents.parquet", columns=["text", "source"]
     )
-    num_parts = _cluster_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         pairs = set()
@@ -4999,9 +4855,6 @@ def q_source_overlap(sf_dir):
             {
                 "fp": pa.array([p[0] for p in ps], pa.int64()),
                 "source": pa.array([p[1] for p in ps], pa.string()),
-                "part": pa.array(
-                    [p[0] % num_parts for p in ps], pa.int64()
-                ),
             }
         )
 
@@ -5027,9 +4880,7 @@ def q_source_overlap(sf_dir):
         ).agg(n_shared=("source_a", "size")).astype({"n_shared": "int64"})
 
     return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+        exchange(docs, "fp", per_part, combine=partial)
         .groupby(["source_a", "source_b"])
         .aggregate(Sum("n_shared", alias_name="n_shared"))
     )
@@ -5059,24 +4910,17 @@ def q_event_type_runs(sf_dir):
     run's [start, end] timestamps and event count — the
     change-data-capture compaction shape.
 
-    Shape: coarse crc32(user) partition (a user's whole ordered history
+    Shape: ``exchange`` on the user (a user's whole ordered history
     in ONE part) → per-part vectorized sort + shift change-point
     detection + run groupby. Output rows ≤ input rows; no second
     shuffle."""
-    import zlib
-
-    import ray.data
-
-    from .stages.dataops import _cluster_parts
-
     ev = cached_read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["ts", "user_id", "event_type", "event_id"],
     )
-    num_parts = _cluster_parts()
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "user_id": batch["user_id"],
                 "event_type": batch["event_type"],
@@ -5085,11 +4929,6 @@ def q_event_type_runs(sf_dir):
                 "event_id": batch["event_id"],
             }
         )
-        out["part"] = [
-            zlib.crc32(str(u).encode()) % num_parts
-            for u in out["user_id"]
-        ]
-        return out
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -5115,10 +4954,9 @@ def q_event_type_runs(sf_dir):
             }
         )
 
-    return (
-        ev.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+    return exchange(
+        ev.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "user_id", per_part,
     )
 
 
@@ -5456,8 +5294,8 @@ FROM documents
 
 def q_ngram_counts(sf_dir):
     """Corpus word-trigram count table, count >= 3 (count-based LM /
-    contamination-screen raw material). Combiner → crc32 coarse
-    partition → in-part threshold: sub-threshold singletons die inside
+    contamination-screen raw material). Combiner → ``exchange`` on the
+    n-gram → in-part threshold: sub-threshold singletons die inside
     their partition. stages/dataops.py:ngram_counts."""
     import ray.data
 
@@ -5523,18 +5361,11 @@ def q_event_outliers(sf_dir):
     events with |v - mean| > 2*stddev via the cross-multiplied form
     (n*v - s1)^2 > 4*(n*s2 - s1^2) over cents — no sqrt, no float
     drift, Python bigints in-kernel / HUGEINT in SQL. All of a user's
-    events land in one crc32(user) coarse partition, so the stats pass
+    events land in one part of the ``exchange`` on user, so the stats pass
     and the flag pass fuse into a single per-partition pandas kernel
     (never a per-user Ray group, never a second shuffle to join stats
     back)."""
-    import zlib
-
     import pyarrow.compute as pc
-    import ray.data
-
-    from .stages.dataops import _cluster_parts
-
-    num_parts = _cluster_parts()
 
     ev = cached_read_parquet(
         f"{sf_dir}/events.parquet",
@@ -5546,19 +5377,11 @@ def q_event_outliers(sf_dir):
             pc.floor(pc.add(pc.multiply(batch.column("value"), 100.0), 0.5)),
             pa.int64(),
         )
-        part = pa.array(
-            [
-                zlib.crc32(str(u).encode()) % num_parts
-                for u in batch.column("user_id").to_pylist()
-            ],
-            pa.int64(),
-        )
         return pa.table(
             {
                 "event_id": batch.column("event_id"),
                 "user_id": batch.column("user_id"),
                 "value_centi": centi,
-                "part": part,
             }
         )
 
@@ -5574,11 +5397,7 @@ def q_event_outliers(sf_dir):
         out = pd.concat(keep) if keep else g.iloc[0:0]
         return out[["event_id", "user_id", "value_centi"]]
 
-    return (
-        ev.map_batches(assign, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(flag, batch_format="pandas")
-    )
+    return exchange(ev, "user_id", flag, combine=assign)
 
 
 SQL_EVENT_OUTLIERS = """
@@ -5603,20 +5422,14 @@ WHERE (n * value_centi - s1) * (n * value_centi - s1)
 def q_large_orders(sf_dir):
     """TPC-H Q18 shape: orders whose total lineitem quantity exceeds a
     threshold, with the order's price. Per-batch (orderkey, qty)
-    pre-sum → crc32 coarse partition → in-part HAVING filter (the
+    pre-sum → ``exchange`` on the orderkey → in-part HAVING filter (the
     sub-threshold mass — almost everything — dies in-partition); the
     tiny survivor set broadcasts into the orders scan (no second
     shuffle, no big-big join)."""
-    import zlib
-
     import pyarrow.compute as pc
     import ray
-    import ray.data
-
-    from .stages.dataops import _cluster_parts
 
     threshold = 150
-    num_parts = _cluster_parts()
 
     li = cached_read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -5630,25 +5443,17 @@ def q_large_orders(sf_dir):
         batch = batch.assign(
             qty=np.floor(batch["l_quantity"] * 100 + 0.5).astype("int64")
         )
-        g = batch.groupby("l_orderkey", as_index=False).agg(
+        return batch.groupby("l_orderkey", as_index=False).agg(
             qty=("qty", "sum")
         )
-        g["part"] = [
-            zlib.crc32(str(k).encode()) % num_parts
-            for k in g["l_orderkey"]
-        ]
-        return g
 
     def having(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("l_orderkey", as_index=False).agg(qty=("qty", "sum"))
         return agg[agg["qty"] > threshold * 100]
 
-    winners = (
-        li.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(having, batch_format="pandas")
-        .to_pandas()  # HAVING survivors only — small by construction
-    )
+    winners = exchange(
+        li.map_batches(partial, batch_format="pandas"), "l_orderkey", having
+    ).to_pandas()  # HAVING survivors only — small by construction
     qty_ref = ray.put(
         dict(zip((int(k) for k in winners["l_orderkey"]),
                  (int(q) for q in winners["qty"])))
@@ -5704,39 +5509,25 @@ def q_key_skew(sf_dir):
     """Key-skew report for shuffle planning (the is-this-key-saltable
     probe run before any groupby/join at scale): the 20 heaviest
     user_ids with exact counts and integer basis-point share of all
-    events. Per-batch pre-count → crc32 coarse partition → in-part
+    events. Per-batch pre-count → ``exchange`` on the user → in-part
     merge → tiny global sort+limit; the total arrives as a one-row
     broadcast, share = count*10000 // total in pure integers."""
-    import zlib
-
-    import ray.data
-
-    from .stages.dataops import _cluster_parts
-
-    num_parts = _cluster_parts()
-
     ev = cached_read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id"]
     )
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("user_id", as_index=False).agg(
+        return batch.groupby("user_id", as_index=False).agg(
             n_events=("user_id", "size")
         )
-        g["part"] = [
-            zlib.crc32(str(u).encode()) % num_parts for u in g["user_id"]
-        ]
-        return g
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("user_id", as_index=False).agg(
             n_events=("n_events", "sum")
         )
 
-    counts = (
-        ev.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    counts = exchange(
+        ev.map_batches(partial, batch_format="pandas"), "user_id", merge
     )
     # total = input row count, straight from parquet metadata — never a
     # second execution of the counts pipeline
@@ -6488,18 +6279,13 @@ def q_small_quantity_revenue(sf_dir):
     integer-valued doubles, cast exactly to int64).
 
     Scale shape: pass 1 folds lineitem to one (partkey, sum_qty, cnt)
-    row per part via per-batch combiner → crc32 coarse partition (never
+    row per part via per-batch combiner → ``exchange`` on partkey (never
     one Ray group per part); pass 2 joins the stats back on partkey
     with the empty-safe equi_join co-group and sums the qualifying
     revenue as per-batch partials — the driver sees two numbers."""
-    import zlib
-
     import ray.data
 
-    from .stages.dataops import _cluster_parts
     from .stages.joins import equi_join
-
-    num_parts = _cluster_parts()
 
     li_stats_in = cached_read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -6508,14 +6294,9 @@ def q_small_quantity_revenue(sf_dir):
 
     def stats_partial(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.assign(qty=batch["l_quantity"].astype("int64"))
-        g = batch.groupby("l_partkey", as_index=False).agg(
+        return batch.groupby("l_partkey", as_index=False).agg(
             sum_qty=("qty", "sum"), cnt=("qty", "size")
         )
-        g["part"] = [
-            zlib.crc32(str(k).encode()) % num_parts
-            for k in g["l_partkey"]
-        ]
-        return g
 
     def stats_merge(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("l_partkey", as_index=False).agg(
@@ -6525,10 +6306,9 @@ def q_small_quantity_revenue(sf_dir):
             ["pk", "sum_qty", "cnt"]
         ]
 
-    stats = (
-        li_stats_in.map_batches(stats_partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(stats_merge, batch_format="pandas")
+    stats = exchange(
+        li_stats_in.map_batches(stats_partial, batch_format="pandas"),
+        "l_partkey", stats_merge,
     )
 
     li = cached_read_parquet(
@@ -6921,37 +6701,27 @@ def q_sole_return_suppliers(sf_dir):
     late-delivery role): suppliers who were the ONLY supplier with a
     returned line in a multi-supplier order, with how often. Pre-shuffle
     combiner collapses lineitem to (order, supplier, any-returned); ONE
-    crc32(orderkey) coarse shuffle co-locates each order; the
+    ``exchange`` on the orderkey co-locates each order; the
     exists/not-exists pair is a vectorized per-order group stat; the
     final per-supplier count is supplier-cardinality."""
-    import zlib
-
     import pyarrow.parquet as pq
     import ray
     import ray.data
     from ray.data.aggregate import Sum
 
-    from .stages.dataops import _cluster_parts
-
-    num_parts = _cluster_parts()
     li = cached_read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_returnflag"],
     )
 
     def combine(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (
+        return (
             batch.assign(
                 returned=(batch["l_returnflag"] == "R").astype("int64")
             )
             .groupby(["l_orderkey", "l_suppkey"], as_index=False)
             .agg(returned=("returned", "max"))
         )
-        g["part"] = [
-            zlib.crc32(str(k).encode()) % num_parts
-            for k in g["l_orderkey"]
-        ]
-        return g
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         pairs = g.groupby(["l_orderkey", "l_suppkey"], as_index=False).agg(
@@ -6972,9 +6742,10 @@ def q_sole_return_suppliers(sf_dir):
         return out.astype({"l_suppkey": "int64", "numwait": "int64"})
 
     agg = (
-        li.map_batches(combine, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+        exchange(
+            li.map_batches(combine, batch_format="pandas", batch_size=65536),
+            "l_orderkey", per_part,
+        )
         .groupby("l_suppkey")
         .aggregate(Sum("numwait", alias_name="numwait"))
     )
@@ -7481,7 +7252,7 @@ def _setop_sides(sf_dir):
 def q_supplier_part_intersect(sf_dir):
     """SQL INTERSECT (distinct semantics) as a first-class operator
     (stages/dataops.py:set_op_distinct — per-batch distinct projection,
-    one crc32(row) co-partitioning exchange, per-part membership):
+    one co-group ``exchange`` on the row, per-part membership):
     (supplier, part) pairs appearing both on even-part lineitems and on
     quantity>25 lineitems."""
     from .stages.dataops import set_op_distinct
@@ -7514,7 +7285,7 @@ SELECT DISTINCT l_suppkey, l_partkey FROM lineitem WHERE l_quantity > 25
 def q_event_type_mode(sf_dir):
     """Deterministic per-user mode (most frequent event_type, ties to
     the lexicographically smaller type — stages/dataops.py:
-    mode_per_group: combiner → crc32(group) coarse partition →
+    mode_per_group: combiner → ``exchange`` on the group →
     vectorized per-part argmax)."""
     import ray.data
 

@@ -2,15 +2,22 @@
 dedup (exact, MinHash-LSH, SimHash, embedding-cosine), similarity search
 (brute-force + LSH-bucketed ANN), and text analysis.
 
-Distributed shapes:
-- exact dedup: content-hash column (map_batches) → groupby(hash) → min-key
-  witness per group (hash partition + per-group first, SURVEY.md §2.8);
+Distributed shapes — every shuffle is ``stages/exchange.py``:
+``exchange`` (coarse parts, one vectorized kernel per part) or
+``exchange_per_key`` (one kernel call per key of a bounded column):
+- exact dedup: content hash (per-batch combiner) → ``exchange`` on the
+  hash → min-key witness per hash (SURVEY.md §2.8);
 - MinHash-LSH: signature per row (actor pool; permutation params built
   once per actor) → explode to (band, band_hash, id, signature) rows →
-  groupby(band, band_hash) → in-bucket pairs verified by signature
-  agreement (no text re-shipped) → distinct pairs;
-- SimHash: 64-bit signature → 4x16-bit band buckets → in-bucket Hamming
-  verify;
+  ``exchange`` on (band, band_hash) → in-bucket pairs verified by
+  signature agreement (no text re-shipped) → distinct pairs;
+- SimHash: 64-bit signature → 4x16-bit band buckets → ``exchange`` on
+  (band, band_key) → in-bucket Hamming verify;
+- term / n-gram statistics: per-batch Counter combiner → ``exchange`` on
+  the term (on (term, bucket) where one hot term must spread over
+  parts) → in-part sum;
+- bounded keys (k-means clusters, strata, range buckets, profiled
+  columns): ``exchange_per_key``;
 - ANN: per-batch numpy matmul against a broadcast query matrix, partial
   top-k per batch, tiny final merge (the classic combiner shape).
 """
@@ -32,6 +39,7 @@ from ..functions.textstats import (
     rolling_fingerprint,
     token_count,
 )
+from .exchange import exchange, exchange_per_key
 
 # ---------------------------------------------------------------------------
 # text analysis
@@ -148,14 +156,12 @@ def duplicate_spans(docs_ds, *, k: int = 4, w: int = 5,
 
     100-TB shape: :func:`winnow_docs` explodes each doc into a bounded
     fingerprint set (stateless pass), a per-batch combiner collapses to
-    (fingerprint, partial ndocs/min/max), and the only shuffle is a
-    coarse ``hash(fingerprint) % num_parts`` partition with a vectorized
+    (fingerprint, partial ndocs/min/max), and the only shuffle is an
+    ``exchange`` on the fingerprint with a vectorized
     pandas merge inside each part — never one Ray group per fingerprint.
     Correct because winnow_docs emits per-doc DISTINCT fingerprints and
     a doc's rows never split across batches, so partial counts are doc
     counts."""
-    if num_parts is None:
-        num_parts = _cluster_parts()
     fps = winnow_docs(docs_ds, k=k, w=w, text_col=text_col, id_col=id_col)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -165,8 +171,6 @@ def duplicate_spans(docs_ds, *, k: int = 4, w: int = 5,
             first_doc=(id_col, "min"),
             last_doc=(id_col, "max"),
         )
-        # winnow fingerprints are masked non-negative int64
-        agg["part"] = agg["fingerprint"].to_numpy() % num_parts
         return pa.Table.from_pandas(agg, preserve_index=False)
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
@@ -177,11 +181,8 @@ def duplicate_spans(docs_ds, *, k: int = 4, w: int = 5,
         )
         return out[out["ndocs"] >= 2]
 
-    return (
-        fps.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(fps, "fingerprint", merge, combine=partial,
+                    num_parts=num_parts)
 
 
 def term_postings(docs_ds, *, text_col: str = "text",
@@ -195,15 +196,10 @@ def term_postings(docs_ds, *, text_col: str = "text",
     so no row ever exceeds ``bucket_size`` ids — a stopword appearing in
     a billion docs becomes a million bounded rows, not one giant one.
     Per-batch kernel emits distinct (term, bucket, partial-postings),
-    the shuffle key is crc32(term)+bucket mod P (cluster-scaled), and
-    the per-part finish is a vectorized pandas groupby on utf-8 BYTES
-    keys (NUL-safe discipline; see composite_key_bytes)."""
-    import zlib
-
-    import pandas as pd
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
+    the exchange key is (term, bucket) — a hot term's buckets still
+    spread over parts — and the per-part finish is a vectorized pandas
+    groupby on utf-8 BYTES keys (NUL-safe discipline; see
+    composite_key_bytes)."""
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         ex = (
@@ -221,11 +217,7 @@ def term_postings(docs_ds, *, text_col: str = "text",
         g = ex.groupby(["term_b", "bucket"], as_index=False).agg(
             postings=(id_col, lambda s: ",".join(str(i) for i in sorted(s)))
         )
-        g["part"] = [
-            (zlib.crc32(t) + int(b)) % num_parts
-            for t, b in zip(g["term_b"], g["bucket"])
-        ]
-        return g[["term_b", "bucket", "postings", "part"]]
+        return g[["term_b", "bucket", "postings"]]
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         def join_sorted(s: pd.Series) -> str:
@@ -242,12 +234,9 @@ def term_postings(docs_ds, *, text_col: str = "text",
         out["bucket"] = out["bucket"].astype("int64")
         return out[["term", "bucket", "df_bucket", "postings"]]
 
-    return (
-        docs_ds.map_batches(
-            partial, batch_format="pandas", batch_size=4096
-        )
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return exchange(
+        docs_ds.map_batches(partial, batch_format="pandas", batch_size=4096),
+        ["term_b", "bucket"], merge, num_parts=num_parts,
     )
 
 
@@ -306,10 +295,8 @@ def exact_k_sample(docs_ds, *, k: int, strat_col: str = "lang",
             .drop(columns=["_h"])
         )
 
-    return (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(strat_col)
-        .map_groups(merge, batch_format="pandas")
+    return exchange_per_key(
+        docs_ds.map_batches(partial, batch_format="pyarrow"), strat_col, merge
     )
 
 
@@ -483,13 +470,11 @@ def exact_dedup_groups(docs_ds, text_col: str = "text",
                        num_parts: int | None = None):
     """content sha256 → (hash, keeper id, group size).
 
-    Scale shape: coarse partition on the hash prefix (cluster-scaled
-    part count) + ONE vectorized pandas aggregate per part — never
+    Scale shape: ``exchange`` on the content hash (cluster-scaled part
+    count) + ONE vectorized pandas aggregate per part — never
     ``groupby(content_sha256)`` directly, which pays Ray's ~1 ms/group
     on one group per DISTINCT DOCUMENT. Hex hashes are NUL-free, so the
     in-part str groupby is safe."""
-    if num_parts is None:
-        num_parts = _cluster_parts()
 
     def hash_batch(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
@@ -498,9 +483,6 @@ def exact_dedup_groups(docs_ds, text_col: str = "text",
             {
                 "content_sha256": pa.array(shas, pa.string()),
                 id_col: batch.column(id_col),
-                "part": pa.array(
-                    [int(s[:8], 16) % num_parts for s in shas], pa.int64()
-                ),
             }
         )
 
@@ -509,11 +491,8 @@ def exact_dedup_groups(docs_ds, text_col: str = "text",
             keeper_id=(id_col, "min"), n_docs=(id_col, "size")
         )
 
-    return (
-        docs_ds.map_batches(hash_batch, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(docs_ds, "content_sha256", merge, combine=hash_batch,
+                    num_parts=num_parts)
 
 
 def cluster_cpus(default: int = 8) -> int:
@@ -546,14 +525,23 @@ def composite_key_bytes(*cols):
       ('X\\x00Y', 'Z') encode identically with a NUL join → the length
       prefix makes the encoding injective for any content.
 
+    A null component (None, NaN, pd.NA, NaT) encodes as the length
+    marker 0xFFFFFFFF with no payload, so it forms its own group (SQL
+    GROUP BY semantics) instead of colliding with the string 'None'.
+
     Each argument is a column (iterable); returns a list of bytes keys,
     one per row."""
     import struct
 
+    null = struct.pack(">I", 0xFFFFFFFF)
     out = []
     for vals in zip(*cols):
         b = bytearray()
         for v in vals:
+            if (v is None or v is pd.NA or v is pd.NaT
+                    or (isinstance(v, float) and v != v)):
+                b += null
+                continue
             enc = str(v).encode("utf-8")
             b += struct.pack(">I", len(enc))
             b += enc
@@ -567,36 +555,17 @@ def distinct_pairs(pairs_ds, value_col: str, how: str = "max",
 
     High-cardinality Ray aggregates pay ~1ms of Python per group, so a
     166k-group ``groupby(pair).aggregate()`` takes minutes. Instead:
-    coarse hash partition (``id_a % num_parts`` → few, large groups) and a
-    vectorized pandas groupby inside each group — same result, constant
-    number of Ray groups. ``num_parts`` defaults to ~4x cluster cores."""
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        import zlib
-
-        ids = batch.column("id_a").to_pylist()
-        if ids and isinstance(ids[0], (int, np.integer)):
-            parts = [int(i) % num_parts for i in ids]
-        else:  # string/opaque ids: hash-partition
-            parts = [
-                zlib.crc32(str(i).encode("utf-8")) % num_parts for i in ids
-            ]
-        return batch.append_column("part", pa.array(parts, pa.int64()))
+    ``exchange`` on ``id_a`` (few, large parts) and a vectorized pandas
+    groupby inside each part — same result, constant number of Ray
+    groups. ``num_parts`` defaults to ~4x cluster cores."""
 
     def dedup(group: pd.DataFrame) -> pd.DataFrame:
-        out = (
+        return (
             group.groupby(["id_a", "id_b"], as_index=False)[value_col]
             .agg(how)
         )
-        return out
 
-    return (
-        pairs_ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup, batch_format="pandas")
-    )
+    return exchange(pairs_ds, "id_a", dedup, num_parts=num_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +623,7 @@ def minhash_candidate_pairs(
     so bucket groups never re-ship document text; the estimate goes out as
     integer permille so the DuckDB oracle's value matches exactly.
 
-    Scale shape: the shuffle key is ``hash(band, band_hash) % P`` with P
+    Scale shape: ``exchange`` on ``(band, band_hash)`` with a part count
     scaled to the cluster — same-bucket rows still co-locate, but group
     count tracks the cluster, not the corpus (a ``groupby(band)`` with
     num_bands groups would materialize 1/num_bands of ALL signatures into
@@ -670,9 +639,9 @@ def minhash_candidate_pairs(
     )
 
 
-def _verify_signature_pairs(parted_sigs, *, num_perm, threshold, id_col):
-    """Shared verify stage over a part-keyed signature table: in-part
-    bucket pair extraction with signature-agreement verification →
+def _verify_signature_pairs(sigs, *, num_perm, threshold, id_col):
+    """Shared verify stage over a signature table: ``exchange`` on the
+    bucket, in-part pair extraction with signature-agreement verification →
     distinct pairs. Consumed by the one-shot
     :func:`minhash_candidate_pairs` and by the dedup job's cross-shard
     global stage (:func:`minhash_band_pairs`)."""
@@ -712,9 +681,7 @@ def _verify_signature_pairs(parted_sigs, *, num_perm, threshold, id_col):
             }
         )
 
-    pairs = parted_sigs.groupby("part").map_groups(
-        part_pairs, batch_format="pandas"
-    )
+    pairs = exchange(sigs, ["band", "band_hash"], part_pairs)
     # same pair can surface from several bands → distinct
     return distinct_pairs(pairs, "est_permille", how="max")
 
@@ -726,11 +693,10 @@ def minhash_band_pairs(sig_ds, *, num_perm: int = 128,
     stage of the two-level dedup job (jobs/dedup_job.py): signatures are
     computed once per shard next to the data, then each band is an
     independent, resumable global partition; this function handles one
-    such slice. Same part-keying and verify kernel as the one-shot
+    such slice. Same exchange and verify kernel as the one-shot
     pipeline."""
     return _verify_signature_pairs(
-        _add_bucket_part(sig_ds),
-        num_perm=num_perm, threshold=threshold, id_col=id_col,
+        sig_ds, num_perm=num_perm, threshold=threshold, id_col=id_col
     )
 
 
@@ -959,10 +925,9 @@ def leakage_safe_splits(
 def _bucketed_signatures(docs_ds, *, num_perm, num_bands, text_col,
                          id_col, seed):
     """Shared LSH scaffold: MinHash signatures exploded to (id, band,
-    band_hash, signature) rows with the cluster-scaled ``part`` shuffle
-    key — consumed by both the signature-verify and the exact-Jaccard
-    pair pipelines."""
-    sigs = docs_ds.map_batches(
+    band_hash, signature) rows — consumed by both the signature-verify
+    and the exact-Jaccard pair pipelines."""
+    return docs_ds.map_batches(
         MinHashSignatures,
         fn_constructor_kwargs=dict(
             num_perm=num_perm, seed=seed, text_col=text_col, id_col=id_col,
@@ -971,26 +936,6 @@ def _bucketed_signatures(docs_ds, *, num_perm, num_bands, text_col,
         batch_format="pyarrow",
         concurrency=(1, 8),
     )
-    return _add_bucket_part(sigs)
-
-
-def _add_bucket_part(sig_ds, num_parts: int | None = None):
-    """Cluster-scaled shuffle key over (band, band_hash) buckets."""
-    import zlib
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        bands = batch.column("band").to_pylist()
-        hashes = batch.column("band_hash").to_pylist()
-        parts = [
-            zlib.crc32(f"{b}|{h}".encode("utf-8")) % num_parts
-            for b, h in zip(bands, hashes)
-        ]
-        return batch.append_column("part", pa.array(parts, pa.int64()))
-
-    return sig_ds.map_batches(add_part, batch_format="pyarrow")
 
 
 def jaccard_verified_pairs(
@@ -1049,9 +994,7 @@ def jaccard_verified_pairs(
             }
         )
 
-    cands = sigs.groupby("part").map_groups(
-        part_candidates, batch_format="pandas"
-    )
+    cands = exchange(sigs, ["band", "band_hash"], part_candidates)
     distinct = distinct_pairs(cands, "one", how="max")
 
     if doc_texts is not None:
@@ -1142,9 +1085,6 @@ def top_terms(docs_ds, *, k: int = 20, text_col: str = "text",
     """Corpus vocabulary stats: per-word DOCUMENT frequency, top-k by
     (df desc, word asc). Per-batch partial df (distinct words per doc) →
     coarse-partition merge → tiny global sort+limit."""
-    import zlib
-
-    num_parts = _cluster_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         from collections import Counter
@@ -1157,10 +1097,6 @@ def top_terms(docs_ds, *, k: int = 20, text_col: str = "text",
             {
                 "word": pa.array(words, pa.string()),
                 "df": pa.array([counts[w] for w in words], pa.int64()),
-                "part": pa.array(
-                    [zlib.crc32(w.encode()) % num_parts for w in words],
-                    pa.int64(),
-                ),
             }
         )
 
@@ -1176,9 +1112,7 @@ def top_terms(docs_ds, *, k: int = 20, text_col: str = "text",
         return out.drop(columns=["_k"])
 
     return (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+        exchange(docs_ds, "word", merge, combine=partial)
         .sort(["df", "word"], descending=[True, False])
         .limit(k)
     )
@@ -1210,15 +1144,11 @@ def corpus_freq_scores(docs_ds, *, text_col: str = "text",
     parity). Token rule: Python ``str.split()`` mirrored by the
     ``_SQL_WORDS`` fragment (same proven pair as :func:`top_terms`).
     Zero-token documents are absent from the output on both engines."""
-    import zlib
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
 
     def explode(batch: pa.Table) -> pa.Table:
         from collections import Counter
 
-        ids, toks, ns, parts = [], [], [], []
+        ids, toks, ns = [], [], []
         for i, t in zip(
             batch.column(id_col).to_pylist(),
             batch.column(text_col).to_pylist(),
@@ -1227,13 +1157,11 @@ def corpus_freq_scores(docs_ds, *, text_col: str = "text",
                 ids.append(i)
                 toks.append(w)
                 ns.append(n)
-                parts.append(zlib.crc32(w.encode("utf-8")) % num_parts)
         return pa.table(
             {
                 id_col: pa.array(ids, pa.int64()),
                 "tok": pa.array(toks, pa.string()),
                 "n": pa.array(ns, pa.int64()),
-                "part": pa.array(parts, pa.int64()),
             }
         )
 
@@ -1250,11 +1178,9 @@ def corpus_freq_scores(docs_ds, *, text_col: str = "text",
                 "n": g["n"],
             }
         )
-        out = out.groupby(id_col, as_index=False).agg(
+        return out.groupby(id_col, as_index=False).agg(
             s=("s", "sum"), n=("n", "sum")
         )
-        out["part"] = out[id_col].astype("int64") % num_parts
-        return out
 
     def per_doc_part(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(id_col, as_index=False).agg(
@@ -1263,13 +1189,9 @@ def corpus_freq_scores(docs_ds, *, text_col: str = "text",
         out["freq_score"] = (out["s"] * scale) // out["n"]
         return out[[id_col, "freq_score"]]
 
-    return (
-        docs_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_token_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_doc_part, batch_format="pandas")
-    )
+    per_tok = exchange(docs_ds, "tok", per_token_part, combine=explode,
+                       num_parts=num_parts)
+    return exchange(per_tok, id_col, per_doc_part, num_parts=num_parts)
 
 
 def importance_weights(docs_ds, *, target_lang: str = "en",
@@ -1300,15 +1222,11 @@ def importance_weights(docs_ds, *, target_lang: str = "en",
     from the target slice contribute 0; ``t_cnt <= c_cnt`` always, so
     weights live in ``[0, scale]``. Zero-token docs are absent from
     the output on both engines."""
-    import zlib
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
 
     def explode(batch: pa.Table) -> pa.Table:
         from collections import Counter
 
-        ids, toks, ns, nts, parts = [], [], [], [], []
+        ids, toks, ns, nts = [], [], [], []
         for i, t, lg in zip(
             batch.column(id_col).to_pylist(),
             batch.column(text_col).to_pylist(),
@@ -1320,14 +1238,12 @@ def importance_weights(docs_ds, *, target_lang: str = "en",
                 toks.append(w)
                 ns.append(n)
                 nts.append(n if is_target else 0)
-                parts.append(zlib.crc32(w.encode("utf-8")) % num_parts)
         return pa.table(
             {
                 id_col: pa.array(ids, pa.int64()),
                 "tok": pa.array(toks, pa.string()),
                 "n": pa.array(ns, pa.int64()),
                 "nt": pa.array(nts, pa.int64()),
-                "part": pa.array(parts, pa.int64()),
             }
         )
 
@@ -1345,11 +1261,9 @@ def importance_weights(docs_ds, *, target_lang: str = "en",
                 "n": g["n"],
             }
         )
-        out = out.groupby(id_col, as_index=False).agg(
+        return out.groupby(id_col, as_index=False).agg(
             s=("s", "sum"), n=("n", "sum")
         )
-        out["part"] = out[id_col].astype("int64") % num_parts
-        return out
 
     def per_doc_part(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(id_col, as_index=False).agg(
@@ -1358,13 +1272,9 @@ def importance_weights(docs_ds, *, target_lang: str = "en",
         out["weight_ppm"] = out["s"] // out["n"]
         return out[[id_col, "weight_ppm"]]
 
-    return (
-        docs_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_token_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_doc_part, batch_format="pandas")
-    )
+    per_tok = exchange(docs_ds, "tok", per_token_part, combine=explode,
+                       num_parts=num_parts)
+    return exchange(per_tok, id_col, per_doc_part, num_parts=num_parts)
 
 
 def length_quantiles(docs_ds, *, quantiles=(0.5, 0.9, 0.99),
@@ -1428,17 +1338,15 @@ def length_quantiles(docs_ds, *, quantiles=(0.5, 0.9, 0.99),
 
 def simhash_signatures(docs_ds, *, text_col: str = "text",
                        id_col: str = "doc_id"):
-    """64-bit SimHash exploded to (id, band, band_key, simhash, part)
-    rows — 4x16-bit bands (any pair within Hamming distance 3 shares at
-    least one exact band), part = cluster-scaled shuffle key. Shared by
-    the one-shot :func:`simhash_pairs` and the dedup job's cross-shard
-    global stage."""
-    num_parts = _cluster_parts()
+    """64-bit SimHash exploded to (id, band, band_key, simhash) rows —
+    4x16-bit bands (any pair within Hamming distance 3 shares at least
+    one exact band). Shared by the one-shot :func:`simhash_pairs` and
+    the dedup job's cross-shard global stage."""
 
     def sig_batch(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_pylist()
         texts = batch.column(text_col).to_pylist()
-        out_id, out_band, out_key, out_sig, out_part = [], [], [], [], []
+        out_id, out_band, out_key, out_sig = [], [], [], []
         for i, t in zip(ids, texts):
             h = simhash64(t)
             for band in range(4):
@@ -1447,14 +1355,12 @@ def simhash_signatures(docs_ds, *, text_col: str = "text",
                 out_band.append(band)
                 out_key.append(key)
                 out_sig.append(h)
-                out_part.append((key * 4 + band) % num_parts)
         return pa.table(
             {
                 id_col: pa.array(out_id),
                 "band": pa.array(out_band, pa.int32()),
                 "band_key": pa.array(out_key, pa.int64()),
                 "simhash": pa.array(out_sig, pa.uint64()),
-                "part": pa.array(out_part, pa.int64()),
             }
         )
 
@@ -1466,21 +1372,10 @@ def simhash_band_pairs(sig_ds, *, max_hamming: int = 3,
     """Verified pairs from an EXISTING simhash signature table (columns
     ``id_col, band, band_key, simhash``) — the cross-shard GLOBAL stage
     (jobs/dedup_job.py): each of the 4 bands is an independent,
-    resumable global partition; this handles one such slice (the part
-    shuffle key is recomputed, so a band-filtered parquet read works)."""
-    num_parts = _cluster_parts()
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        bands = batch.column("band").to_pylist()
-        keys = batch.column("band_key").to_pylist()
-        parts = [
-            (int(k) * 4 + int(b)) % num_parts for b, k in zip(bands, keys)
-        ]
-        return batch.append_column("part", pa.array(parts, pa.int64()))
-
+    resumable global partition; this handles one such slice (a
+    band-filtered parquet read works as is)."""
     return _verify_simhash_pairs(
-        sig_ds.map_batches(add_part, batch_format="pyarrow"),
-        max_hamming=max_hamming, id_col=id_col,
+        sig_ds, max_hamming=max_hamming, id_col=id_col
     )
 
 
@@ -1494,9 +1389,9 @@ def simhash_pairs(
     """64-bit SimHash; candidate buckets via 4x16-bit bands, then exact
     Hamming verify in-bucket.
 
-    Scale shape: shuffle key = ``hash(band, band_key) % P`` with P scaled
-    to the cluster (see :func:`minhash_candidate_pairs`) — never a 4-group
-    ``groupby(band)`` that would funnel a quarter of the corpus's
+    Scale shape: ``exchange`` on ``(band, band_key)`` with a part count
+    scaled to the cluster (see :func:`minhash_candidate_pairs`) — never
+    a 4-group ``groupby(band)`` that would funnel a quarter of the corpus's
     signatures into one task."""
     return _verify_simhash_pairs(
         simhash_signatures(docs_ds, text_col=text_col, id_col=id_col),
@@ -1504,8 +1399,9 @@ def simhash_pairs(
     )
 
 
-def _verify_simhash_pairs(parted_sigs, *, max_hamming, id_col):
-    """Shared in-part bucket verify: vectorized XOR + popcount matrix."""
+def _verify_simhash_pairs(sigs, *, max_hamming, id_col):
+    """Shared bucket verify: ``exchange`` on the bucket, then a
+    vectorized XOR + popcount matrix per bucket."""
 
     def band_pairs(group: pd.DataFrame) -> pd.DataFrame:
         # vectorized in-bucket verify: XOR matrix + popcount via unpackbits
@@ -1547,9 +1443,7 @@ def _verify_simhash_pairs(parted_sigs, *, max_hamming, id_col):
             )
         return pd.concat(frames, ignore_index=True)
 
-    pairs = parted_sigs.groupby("part").map_groups(
-        band_pairs, batch_format="pandas"
-    )
+    pairs = exchange(sigs, ["band", "band_key"], band_pairs)
     return distinct_pairs(pairs, "hamming", how="min")
 
 
@@ -1888,8 +1782,8 @@ def embedding_near_dup_pairs(
     should pass ``corpus_size`` (or an explicit ``num_planes``; the
     SQL-oracled query entry fixes the geometry that way).
 
-    Scale shape: shuffle key = ``hash(table, bucket) % P`` with P scaled
-    to the cluster (see :func:`minhash_candidate_pairs`); the in-bucket
+    Scale shape: ``exchange`` on ``(table, bucket)`` with a part count
+    scaled to the cluster (see :func:`minhash_candidate_pairs`); the in-bucket
     verify is one vectorized upper-triangle matmul, not a Python pair
     loop.
 
@@ -1897,22 +1791,12 @@ def embedding_near_dup_pairs(
     is ``floor(cos*100 + 0.5) >= round(threshold*100)`` rather than raw
     ``cos >= threshold`` — up to half a centi wider than the nominal
     threshold, in exchange for engine-reproducible decisions."""
-    num_parts = _cluster_parts()
     if num_planes is None:
         if corpus_size is None:
             emb_ds = emb_ds.materialize()  # execute upstream once
             corpus_size = emb_ds.count()
         num_planes = auto_num_planes(int(corpus_size))
     thr_centi = int(round(threshold * 100))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        tables = batch.column("table").to_pylist()
-        buckets = batch.column("bucket").to_pylist()
-        parts = [
-            (int(b) * 97 + int(t)) % num_parts
-            for t, b in zip(tables, buckets)
-        ]
-        return batch.append_column("part", pa.array(parts, pa.int64()))
 
     def bucket_pairs(part_group: pd.DataFrame) -> pd.DataFrame:
         frames = []
@@ -1960,11 +1844,7 @@ def embedding_near_dup_pairs(
         batch_format="pyarrow",
         concurrency=(1, 4),
     )
-    pairs = (
-        bucketed.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
+    pairs = exchange(bucketed, ["table", "bucket"], bucket_pairs)
     return distinct_pairs(pairs, "cosine", how="max")
 
 
@@ -1972,15 +1852,12 @@ def grouped_topk(ds, *, group_cols, sort_cols, descending, k: int,
                  num_parts: int | None = None):
     """Top-k rows per group, the scale shape: a per-batch COMBINER
     (local sort + head(k) per group — shuffle moves at most k rows per
-    group per input batch) feeding a coarse hash partition
-    (NUL-safe ``composite_key_bytes`` of the group columns, ~4x cluster
-    cores parts) with the identical vectorized kernel as the finisher —
-    never one Ray group per distinct key.
+    group per input batch) feeding an ``exchange`` on the group columns
+    (~4x cluster cores parts) with the identical vectorized kernel as
+    the finisher — never one Ray group per distinct key.
 
     ``sort_cols``/``descending`` must define a TOTAL order (include a
     unique column) or the surviving rows depend on partitioning."""
-    if num_parts is None:
-        num_parts = _cluster_parts()
     ascending = [not d for d in descending]
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -1996,23 +1873,9 @@ def grouped_topk(ds, *, group_cols, sort_cols, descending, k: int,
         )
         return out
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        import zlib
-
-        out = local_topk(df)
-        keys = composite_key_bytes(*[out[c] for c in group_cols])
-        out = out.assign(
-            __part=[zlib.crc32(b) % num_parts for b in keys]
-        )
-        return out
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return local_topk(df.drop(columns="__part"))
-
-    return (
-        ds.map_batches(add_part, batch_format="pandas", batch_size=65536)
-        .groupby("__part")
-        .map_groups(finish, batch_format="pandas")
+    return exchange(
+        ds.map_batches(local_topk, batch_format="pandas", batch_size=65536),
+        group_cols, local_topk, num_parts=num_parts,
     )
 
 
@@ -2028,7 +1891,8 @@ def kmv_distinct_sketch(ds, col: str, *, k: int = 256):
     across cluster sizes/retries AND SQL-mirrorable — the oracle
     replicates it exactly. Shape: per-batch partial (<= k rows out per
     batch, so the merge input is sketch-sized regardless of corpus
-    size) -> one merge group -> a single {n_distinct_est} row.
+    size) -> one merge (``exchange_per_key`` on a constant key) -> a
+    single {n_distinct_est} row.
     Values are hashed via ``str(v)``; null-free input expected."""
     from ..functions.textstats import _md5_number_lower
 
@@ -2050,11 +1914,8 @@ def kmv_distinct_sketch(ds, col: str, *, k: int = 256):
             est = len(hs)
         return pd.DataFrame({"n_distinct_est": [est]}).astype("int64")
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("g")
-        .map_groups(merge, batch_format="pandas")
-        .select_columns(["n_distinct_est"])
+    out = exchange_per_key(
+        ds.map_batches(partial, batch_format="pyarrow"), "g", merge
     ).materialize()  # sketch-sized (one row, or zero on empty input)
     if out.count() == 0:
         # zero input rows: the merge group never ran — still honor the
@@ -2089,9 +1950,8 @@ def cms_heavy_hitters(docs_ds, *, threshold: int, depth: int = 4,
     depth*width distinct cells, the final aggregate has depth*width
     (fixed, e.g. 4096) groups, and the finished sketch is broadcast via
     ``ray.put`` for the estimate pass. The only term-cardinality shuffle
-    is the distinct-term dedup (coarse crc32 partition, vectorized
+    is the distinct-term dedup (``exchange`` on the term, vectorized
     per-part drop_duplicates)."""
-    import zlib
     from collections import Counter
 
     import numpy as np
@@ -2099,9 +1959,6 @@ def cms_heavy_hitters(docs_ds, *, threshold: int, depth: int = 4,
     from ray.data.aggregate import Sum
 
     from ..functions.textstats import _md5_number_lower
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
 
     def cell_partial(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
@@ -2135,16 +1992,7 @@ def cms_heavy_hitters(docs_ds, *, threshold: int, depth: int = 4,
         terms = set()
         for t in batch.column(text_col).to_pylist():
             terms.update(t.split())
-        ts = sorted(terms)
-        return pa.table(
-            {
-                "term": pa.array(ts, pa.string()),
-                "part": pa.array(
-                    [zlib.crc32(w.encode()) % num_parts for w in ts],
-                    pa.int64(),
-                ),
-            }
-        )
+        return pa.table({"term": pa.array(sorted(terms), pa.string())})
 
     def dedup(group: pd.DataFrame) -> pd.DataFrame:
         group = group.assign(_k=[w.encode("utf-8") for w in group["term"]])
@@ -2174,12 +2022,9 @@ def cms_heavy_hitters(docs_ds, *, threshold: int, depth: int = 4,
             pc.greater_equal(out.column("cms_estimate"), threshold)
         )
 
-    return (
-        docs_ds.map_batches(term_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup, batch_format="pandas")
-        .map_batches(estimate, batch_format="pyarrow")
-    )
+    return exchange(
+        docs_ds, "term", dedup, combine=term_partial, num_parts=num_parts
+    ).map_batches(estimate, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -2417,13 +2262,10 @@ def jaccard_join_exact(docs_ds, *, threshold: float = 0.5,
     ``jaccard_permille = 1000·|A∩B| // |A∪B|`` (membership decided on
     the integer, the repo's reproducibility rule), and cross-bucket
     duplicates collapse through :func:`distinct_pairs`."""
-    import zlib
     from collections import Counter
 
     import ray
 
-    if num_parts is None:
-        num_parts = _cluster_parts()
     thr_permille = int(round(threshold * 1000))
 
     def df_partial(batch: pa.Table) -> pa.Table:
@@ -2435,11 +2277,6 @@ def jaccard_join_exact(docs_ds, *, threshold: float = 0.5,
             {
                 "word": pa.array(ks, pa.string()),
                 "df": pa.array([c[k] for k in ks], pa.int64()),
-                "part": pa.array(
-                    [zlib.crc32(k.encode("utf-8")) % num_parts
-                     for k in ks],
-                    pa.int64(),
-                ),
             }
         )
 
@@ -2450,19 +2287,16 @@ def jaccard_join_exact(docs_ds, *, threshold: float = 0.5,
         )
         return agg[["word", "df"]]
 
-    df_tbl = (
-        docs_ds.map_batches(df_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(df_merge, batch_format="pandas")
-        .to_pandas()
-    )
+    df_tbl = exchange(
+        docs_ds, "word", df_merge, combine=df_partial, num_parts=num_parts
+    ).to_pandas()
     df_ref = ray.put(
         dict(zip(df_tbl["word"], (int(x) for x in df_tbl["df"])))
     )
 
     def emit_prefix(batch: pa.Table) -> pa.Table:
         dfd = ray.get(df_ref)
-        o_tok, o_id, o_set, o_part = [], [], [], []
+        o_tok, o_id, o_set = [], [], []
         for did, t in zip(
             batch.column(id_col).to_pylist(),
             batch.column(text_col).to_pylist(),
@@ -2476,15 +2310,11 @@ def jaccard_join_exact(docs_ds, *, threshold: float = 0.5,
                 o_tok.append(w)
                 o_id.append(did)
                 o_set.append(toks)
-                o_part.append(
-                    zlib.crc32(w.encode("utf-8")) % num_parts
-                )
         return pa.table(
             {
                 "token": pa.array(o_tok, pa.string()),
                 "id": pa.array(o_id, pa.int64()),
                 "toks": pa.array(o_set, pa.list_(pa.string())),
-                "part": pa.array(o_part, pa.int64()),
             }
         )
 
@@ -2509,11 +2339,8 @@ def jaccard_join_exact(docs_ds, *, threshold: float = 0.5,
             {"id_a": out_a, "id_b": out_b, "jaccard_permille": out_j}
         )
 
-    pairs = (
-        docs_ds.map_batches(emit_prefix, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(verify, batch_format="pandas")
-    )
+    pairs = exchange(docs_ds, "token", verify, combine=emit_prefix,
+                     num_parts=num_parts)
     return distinct_pairs(
         pairs, "jaccard_permille", how="max", num_parts=num_parts
     )
@@ -2551,30 +2378,22 @@ def edit_distance_join(ds, *, col: str, num_parts: int | None = None):
     are pairwise-verified with the capped O(len) distance. Candidate
     work is O(N·len) keys — never the O(N²) cross product.
 
-    Shape: one stateless key-emit pass → coarse crc32(key) partition →
+    Shape: one stateless key-emit pass → ``exchange`` on the key →
     in-part bytes-keyed buckets, pairwise verify → cross-bucket
     duplicates collapse through :func:`distinct_pairs`. Output:
     (id_a, id_b, dist) over DISTINCT input strings, id_a < id_b."""
-    import zlib
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
 
     def emit_keys(batch: pa.Table) -> pa.Table:
-        o_key, o_val, o_part = [], [], []
+        o_key, o_val = [], []
         for s in set(batch.column(col).to_pylist()):
             keys = {s} | {s[:i] + s[i + 1:] for i in range(len(s))}
             for kk in keys:
                 o_key.append(kk)
                 o_val.append(s)
-                o_part.append(
-                    zlib.crc32(kk.encode("utf-8")) % num_parts
-                )
         return pa.table(
             {
                 "bkey": pa.array(o_key, pa.string()),
                 "val": pa.array(o_val, pa.string()),
-                "part": pa.array(o_part, pa.int64()),
             }
         )
 
@@ -2592,11 +2411,8 @@ def edit_distance_join(ds, *, col: str, num_parts: int | None = None):
                         out_d.append(d)
         return pd.DataFrame({"id_a": out_a, "id_b": out_b, "dist": out_d})
 
-    pairs = (
-        ds.map_batches(emit_keys, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(verify, batch_format="pandas")
-    )
+    pairs = exchange(ds, "bkey", verify, combine=emit_keys,
+                     num_parts=num_parts)
     return distinct_pairs(pairs, "dist", how="max", num_parts=num_parts)
 
 
@@ -2611,10 +2427,10 @@ def bpe_train(docs_ds, *, num_merges: int = 16, text_col: str = "text",
     corpus — one corpus pass builds (word, n); every merge round
     touches only the vocabulary working set (materialized per round:
     bounded by distinct words, not corpus size). Ray shape: word
-    counts via per-batch Counter combiner → coarse ``hash(word)``
-    partition → in-part pandas sum (never one Ray group per word);
+    counts via per-batch Counter combiner → ``exchange`` on the word →
+    in-part pandas sum (never one Ray group per word);
     each round is one streaming pass over the vocab emitting pair
-    partials, coarse-partitioned by the length-prefixed pair key so
+    partials, exchanged on the (left, right) pair so
     each pair lands whole in one part; only ≤num_parts per-part argmax
     rows reach the driver, which picks the global best under the
     total-order tie-break (count desc, then (left, right) ascending).
@@ -2623,16 +2439,7 @@ def bpe_train(docs_ds, *, num_merges: int = 16, text_col: str = "text",
     any partitioning: integer counts + total-order tie-break.
 
     Returns the merge table (rank, left, right, n)."""
-    import zlib
     from collections import Counter
-
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
-    def _pair_part(a: str, b: str) -> int:
-        enc_a = a.encode("utf-8")
-        key = len(enc_a).to_bytes(4, "big") + enc_a + b.encode("utf-8")
-        return zlib.crc32(key) % num_parts
 
     def word_partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -2643,11 +2450,6 @@ def bpe_train(docs_ds, *, num_merges: int = 16, text_col: str = "text",
             {
                 "word": pa.array(ks, pa.string()),
                 "n": pa.array([c[k] for k in ks], pa.int64()),
-                "part": pa.array(
-                    [zlib.crc32(k.encode("utf-8")) % num_parts
-                     for k in ks],
-                    pa.int64(),
-                ),
             }
         )
 
@@ -2671,9 +2473,8 @@ def bpe_train(docs_ds, *, num_merges: int = 16, text_col: str = "text",
         )
 
     vocab = (
-        docs_ds.map_batches(word_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(word_merge, batch_format="pandas")
+        exchange(docs_ds, "word", word_merge, combine=word_partial,
+                 num_parts=num_parts)
         .map_batches(to_syms, batch_format="pyarrow")
         .materialize()
     )
@@ -2695,9 +2496,6 @@ def bpe_train(docs_ds, *, num_merges: int = 16, text_col: str = "text",
                     "left": pa.array([k[0] for k in ks], pa.string()),
                     "right": pa.array([k[1] for k in ks], pa.string()),
                     "n": pa.array([c[k] for k in ks], pa.int64()),
-                    "part": pa.array(
-                        [_pair_part(*k) for k in ks], pa.int64()
-                    ),
                 }
             )
 
@@ -2712,12 +2510,10 @@ def bpe_train(docs_ds, *, num_merges: int = 16, text_col: str = "text",
             ).head(1)
             return agg[["left", "right", "n"]]
 
-        best_rows = (
-            vocab.map_batches(pair_partial, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(part_best, batch_format="pandas")
-            .take_all()  # ≤ num_parts rows
-        )
+        best_rows = exchange(
+            vocab, ["left", "right"], part_best, combine=pair_partial,
+            num_parts=num_parts,
+        ).take_all()  # ≤ num_parts rows
         if not best_rows:
             break  # every word is a single symbol: nothing to merge
         best = min(
@@ -3054,7 +2850,7 @@ def semantic_dedup(emb_ds, *, k: int = 8, iters: int = 3,
 
     Shape: exact-integer k-means centroids (:func:`_kmeans_centroids`,
     broadcast per round) → ONE assignment pass that carries the
-    embedding → ONE ``groupby(cluster)`` exchange → per-cluster
+    embedding → ONE ``exchange_per_key`` on the cluster → per-cluster
     vectorized cosine matmul. A row is dropped iff a LOWER-id row in
     its cluster matches at ≥ threshold on the centi-rounded cosine
     (``floor(cos*100 + 0.5)``, the repo's reproducibility rule — see
@@ -3102,10 +2898,9 @@ def semantic_dedup(emb_ds, *, k: int = 8, iters: int = 3,
             }
         )
 
-    return (
-        emb_ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(dedup_group, batch_format="pandas")
+    return exchange_per_key(
+        emb_ds.map_batches(assign, batch_format="pyarrow"), "cluster",
+        dedup_group,
     )
 
 
@@ -3172,9 +2967,9 @@ def kmv_distinct_by_group(ds, *, group_col: str, col: str, k: int = 256):
     SQL-mirrorable; exact below k distinct per group.
 
     Group cardinality is assumed BOUNDED (event types, languages,
-    buckets — not user ids): the merge is one Ray group per key over
-    sketch-sized partials (≤ k rows per group per batch). For unbounded
-    keys use the coarse-partition idiom instead."""
+    buckets — not user ids): the merge is one kernel call per key
+    (``exchange_per_key``) over sketch-sized partials (≤ k rows per
+    group per batch)."""
     from ..functions.textstats import _md5_number_lower
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -3209,10 +3004,8 @@ def kmv_distinct_by_group(ds, *, group_col: str, col: str, k: int = 256):
             }
         ).astype({"n_distinct_est": "int64"})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(merge, batch_format="pandas")
+    return exchange_per_key(
+        ds.map_batches(partial, batch_format="pyarrow"), group_col, merge
     )
 
 
@@ -3437,19 +3230,18 @@ def term_cooccurrence_topk(docs_ds, *, vocab_size: int = 40, k: int = 50,
     Shapes:
 
     1. df pass: per-batch distinct-terms-per-doc counts (a doc never
-       spans batches, so per-batch sums are exact partials) → coarse
-       crc32(term) partition sum → global ``sort.limit(vocab_size)`` —
+       spans batches, so per-batch sums are exact partials) →
+       ``exchange`` on the term, sum → global ``sort.limit(vocab_size)`` —
        only V rows ever reach the driver;
     2. pair pass: the top-V vocabulary rides the task closure; each
        batch expands every doc's distinct ∩ top-V terms to pairs and
        pre-counts them (≤ V²/2 counters per batch regardless of corpus
-       size) → coarse pair-keyed partition sum → per-part top-k → tiny
+       size) → pair-keyed ``exchange`` sum → per-part top-k → tiny
        sort/limit merge.
 
     Returns (term_a, term_b, n_both, n_a, n_b), all int64.
     """
     import re as _re
-    import zlib
     from collections import Counter
 
     # RE2-exact whitespace class — see _word_ngrams
@@ -3460,8 +3252,6 @@ def term_cooccurrence_topk(docs_ds, *, vocab_size: int = 40, k: int = 50,
             if t
         }
 
-    num_parts = _cluster_parts()
-
     def df_partial(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
         for t in batch.column(text_col).to_pylist():
@@ -3471,10 +3261,6 @@ def term_cooccurrence_topk(docs_ds, *, vocab_size: int = 40, k: int = 50,
             {
                 "term": pa.array(ks, pa.string()),
                 "df": pa.array([counts[x] for x in ks], pa.int64()),
-                "part": pa.array(
-                    [zlib.crc32(x.encode()) % num_parts for x in ks],
-                    pa.int64(),
-                ),
             }
         )
 
@@ -3486,9 +3272,7 @@ def term_cooccurrence_topk(docs_ds, *, vocab_size: int = 40, k: int = 50,
         return out[["term", "df"]].astype({"df": "int64"})
 
     top = (
-        docs_ds.map_batches(df_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(df_merge, batch_format="pandas")
+        exchange(docs_ds, "term", df_merge, combine=df_partial)
         .sort(["df", "term"], descending=[True, False])
         .limit(vocab_size)
         .take_all()  # V rows by construction
@@ -3509,14 +3293,6 @@ def term_cooccurrence_topk(docs_ds, *, vocab_size: int = 40, k: int = 50,
                 "term_a": pa.array([p[0] for p in ks], pa.string()),
                 "term_b": pa.array([p[1] for p in ks], pa.string()),
                 "n_both": pa.array([counts[p] for p in ks], pa.int64()),
-                "part": pa.array(
-                    [
-                        (zlib.crc32(a.encode()) + zlib.crc32(b.encode()))
-                        % num_parts
-                        for a, b in ks
-                    ],
-                    pa.int64(),
-                ),
             }
         )
 
@@ -3544,9 +3320,8 @@ def term_cooccurrence_topk(docs_ds, *, vocab_size: int = 40, k: int = 50,
         )
 
     return (
-        docs_ds.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pair_merge, batch_format="pandas")
+        exchange(docs_ds, ["term_a", "term_b"], pair_merge,
+                 combine=pair_partial)
         .sort(
             ["n_both", "term_a", "term_b"],
             descending=[True, False, False],
@@ -3576,8 +3351,8 @@ def pack_sequences(docs_ds, *, seq_len: int = 128,
        the sorted bucket sums come to the driver (one row per bucket)
        and turn into exclusive bucket offsets, shipped back via one
        ``ray.put``;
-    2. per-bucket cumsum: groupby bucket → in-kernel sort by id +
-       vectorized cumsum + the bucket's offset. No global sort, no
+    2. per-bucket cumsum: ``exchange_per_key`` on the bucket → in-kernel
+       sort by id + vectorized cumsum + the bucket's offset. No global sort, no
        corpus-sized driver state.
 
     Token rule = whitespace ``text.split()`` (mirrors SQL
@@ -3657,10 +3432,9 @@ def pack_sequences(docs_ds, *, seq_len: int = 128,
             }
         )
 
-    return (
-        docs_ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    return exchange_per_key(
+        docs_ds.map_batches(assign, batch_format="pyarrow"), "bucket",
+        per_bucket,
     )
 
 
@@ -3802,7 +3576,7 @@ def training_order(docs_ds, *, salt: str = "shuffle",
     order IS hash order, and the rank decomposes into a distributed
     exclusive prefix sum (same two-pass shape as :func:`pack_sequences`):
 
-    1. per-batch bucket counts, folded onto ~4x-cores partitions (never
+    1. per-batch bucket counts, ``exchange``d on the bucket (never
        one Ray group per bucket — Ray groups cost ~1 ms each) →
        exclusive offsets on the driver (one row per bucket, bounded by
        ``2**bucket_bits``) → one ``ray.put``;
@@ -3828,17 +3602,13 @@ def training_order(docs_ds, *, salt: str = "shuffle",
             dtype=np.uint64,
         )
 
-    _parts_pass1 = _cluster_parts()
-
     def bucket_partial(batch: pa.Table) -> pa.Table:
         pr = _prio(batch.column(id_col).to_pylist())
         b, c = np.unique(pr >> shift, return_counts=True)
-        b = b.astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(b, pa.int64()),
+                "bucket": pa.array(b.astype(np.int64), pa.int64()),
                 "n": pa.array(c.astype(np.int64), pa.int64()),
-                "part": pa.array(b % _parts_pass1, pa.int64()),
             }
         )
 
@@ -3846,9 +3616,7 @@ def training_order(docs_ds, *, salt: str = "shuffle",
         return g.groupby("bucket", as_index=False).agg(n=("n", "sum"))
 
     counts = (
-        docs_ds.map_batches(bucket_partial, batch_format="pyarrow")
-        .groupby("part")  # ~4x cores groups, NOT one per bucket
-        .map_groups(merge_counts, batch_format="pandas")
+        exchange(docs_ds, "bucket", merge_counts, combine=bucket_partial)
         .to_pandas()  # ≤ 2**bucket_bits rows — bounded by construction
         .sort_values("bucket")
     )
@@ -3858,12 +3626,10 @@ def training_order(docs_ds, *, salt: str = "shuffle",
                  (int(o) for o in offs)))
     )
 
-    # shuffle key = bucket folded onto ~4x-cores partitions (NOT one Ray
-    # group per bucket — at 2**20 buckets that's a million ~1 ms groups);
-    # one kernel ranks MANY buckets: sorting by priority lays buckets out
-    # contiguously since the bucket IS the priority's top bits
-    num_parts = _cluster_parts()
-
+    # exchange on the bucket (NOT one Ray group per bucket — at 2**20
+    # buckets that's a million ~1 ms groups); one kernel ranks MANY
+    # buckets: sorting by priority lays buckets out contiguously since
+    # the bucket IS the priority's top bits
     def assign(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_pylist()
         pr = _prio(ids)
@@ -3877,7 +3643,6 @@ def training_order(docs_ds, *, salt: str = "shuffle",
                 # of priorities with the top bit set
                 "_prio": pa.array(pr, pa.uint64()),
                 "bucket": pa.array(bucket, pa.int64()),
-                "part": pa.array(bucket % num_parts, pa.int64()),
             }
         )
 
@@ -3897,11 +3662,7 @@ def training_order(docs_ds, *, salt: str = "shuffle",
             }
         )
 
-    return (
-        docs_ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return exchange(docs_ds, "bucket", per_part, combine=assign)
 
 
 # ---------------------------------------------------------------------------
@@ -3915,9 +3676,9 @@ def ngram_counts(docs_ds, *, n: int = 3, min_count: int = 5,
     lowercased ``n``-gram with total occurrence count >= ``min_count``.
 
     Shape: per-batch ``Counter`` partial (collapses within-batch
-    repeats BEFORE the shuffle) → coarse partition by crc32(ngram) %
-    ``_cluster_parts()`` (never one Ray group per distinct n-gram; group
-    count scales with the cluster) → in-part pandas sum + threshold
+    repeats BEFORE the shuffle) → ``exchange`` on the n-gram (never one
+    Ray group per distinct n-gram; part count scales with the cluster)
+    → in-part pandas sum + threshold
     filter, so sub-threshold singletons — the overwhelming majority of
     the n-gram mass — die inside their partition and never hit a second
     shuffle.
@@ -3930,9 +3691,7 @@ def ngram_counts(docs_ds, *, n: int = 3, min_count: int = 5,
     the same documented caveat as the bm25/tf kernels in this module.
     """
     import re
-    import zlib
 
-    num_parts = _cluster_parts()
     ws = re.compile(r"[\t\n\f\r ]+")
     sep_tok = " "
 
@@ -3953,10 +3712,6 @@ def ngram_counts(docs_ds, *, n: int = 3, min_count: int = 5,
                 "n_occurrences": pa.array(
                     [counts[g] for g in grams], pa.int64()
                 ),
-                "part": pa.array(
-                    [zlib.crc32(g.encode()) % num_parts for g in grams],
-                    pa.int64(),
-                ),
             }
         )
 
@@ -3970,11 +3725,7 @@ def ngram_counts(docs_ds, *, n: int = 3, min_count: int = 5,
         out = out[out["n_occurrences"] >= min_count]
         return out.drop(columns=["_k"])
 
-    return (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(docs_ds, "ngram", merge, combine=partial)
 
 
 def novelty_scores(docs_ds, *, n: int = 3, text_col: str = "text",
@@ -3997,14 +3748,11 @@ def novelty_scores(docs_ds, *, n: int = 3, text_col: str = "text",
     fewer than ``n`` words have no grams and are absent from the output
     on both engines."""
     import re
-    import zlib
 
-    if num_parts is None:
-        num_parts = _cluster_parts()
     ws = re.compile(r"[\t\n\f\r ]+")
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids, grams, parts = [], [], []
+        ids, grams = [], []
         for i, t in zip(
             batch.column(id_col).to_pylist(),
             batch.column(text_col).to_pylist(),
@@ -4016,12 +3764,10 @@ def novelty_scores(docs_ds, *, n: int = 3, text_col: str = "text",
             }:
                 ids.append(i)
                 grams.append(g)
-                parts.append(zlib.crc32(g.encode("utf-8")) % num_parts)
         return pa.table(
             {
                 id_col: pa.array(ids, pa.int64()),
                 "gram": pa.array(grams, pa.string()),
-                "part": pa.array(parts, pa.int64()),
             }
         )
 
@@ -4036,11 +3782,9 @@ def novelty_scores(docs_ds, *, n: int = 3, text_col: str = "text",
                 "novel": (g[id_col] == first_doc).astype("int64"),
             }
         )
-        out = out.groupby(id_col, as_index=False).agg(
+        return out.groupby(id_col, as_index=False).agg(
             novel=("novel", "sum"), total=("novel", "size")
         )
-        out["part"] = out[id_col].astype("int64") % num_parts
-        return out
 
     def per_doc_part(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(id_col, as_index=False).agg(
@@ -4049,13 +3793,9 @@ def novelty_scores(docs_ds, *, n: int = 3, text_col: str = "text",
         out["novelty_bp"] = (10000 * out["novel"]) // out["total"]
         return out[[id_col, "novelty_bp"]]
 
-    return (
-        docs_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_gram_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_doc_part, batch_format="pandas")
-    )
+    per_gram = exchange(docs_ds, "gram", per_gram_part, combine=explode,
+                        num_parts=num_parts)
+    return exchange(per_gram, id_col, per_doc_part, num_parts=num_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -4200,10 +3940,8 @@ def sorted_export(ds, out_dir: str, *, value_col: str, id_col: str,
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("range_idx")
-        .map_groups(write_bucket, batch_format="pandas")
+    return exchange_per_key(
+        ds.map_batches(tag, batch_format="pyarrow"), "range_idx", write_bucket
     )
 
 
@@ -4281,14 +4019,11 @@ def frequent_sentence_hashes(
     the result (jobs/scrub_job.py writes it once and reuses it on
     resume — shards stripped before and after a crash must see the SAME
     set): explode to sentences → per-batch DISTINCT (md5, doc) pairs →
-    crc32(hash) coarse partition → per-part distinct-doc counts; only
+    ``exchange`` on the hash → per-part distinct-doc counts; only
     hashes with ``ndocs >= min_docs`` reach the driver. Boilerplate is
     rare by definition — the returned sorted list is the
     FREQUENT-sentence tail, not the corpus (same small-side contract as
     the promo/dimension broadcasts)."""
-    import zlib
-
-    num_parts = _cluster_parts()
     explode = _sentence_explode_fn(id_col, text_col, lang_col)
 
     def pair_combine(batch: pa.Table) -> pa.Table:
@@ -4296,9 +4031,6 @@ def frequent_sentence_hashes(
             "sent_hash": batch.column("sent_hash").to_pylist(),
             "doc": batch.column(id_col).to_pylist(),
         }).drop_duplicates()
-        df["part"] = [
-            zlib.crc32(h.encode()) % num_parts for h in df["sent_hash"]
-        ]
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def count_docs(g: pd.DataFrame) -> pd.DataFrame:
@@ -4310,13 +4042,10 @@ def frequent_sentence_hashes(
         )
         return agg[agg["ndocs"] >= min_docs][["sent_hash"]]
 
-    frequent = (
-        docs_ds.map_batches(explode, batch_format="pyarrow")
-        .map_batches(pair_combine, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_docs, batch_format="pandas")
-        .to_pandas()  # boilerplate-cardinality — the small side
-    )
+    frequent = exchange(
+        docs_ds.map_batches(explode, batch_format="pyarrow"), "sent_hash",
+        count_docs, combine=pair_combine,
+    ).to_pandas()  # boilerplate-cardinality — the small side
     return sorted(frequent["sent_hash"])
 
 
@@ -4331,35 +4060,27 @@ def strip_boilerplate(
     """Pass 2 of the boilerplate scrub given an already-known
     frequent-sentence hash set (broadcast once via ``ray.put``):
     explode, drop matching sentences, rebuild each doc in ONE
-    crc32(doc) coarse partition (vectorized per-part: sort by
+    ``exchange`` on the doc id (vectorized per-part: sort by
     (doc, sent_id) + groupby-join). Returns
     (id_col, n_kept, n_removed, clean_text); a doc whose every sentence
     is boilerplate comes back with ``clean_text = ''``."""
-    import zlib
-
     import ray
 
     import pyarrow.compute as pc
 
-    num_parts = _cluster_parts()
     explode = _sentence_explode_fn(id_col, text_col, lang_col)
     boiler_ref = ray.put(pa.array(sorted(boiler_hashes), pa.string()))
 
-    def tag_part(batch: pa.Table) -> pa.Table:
+    def mark_kept(batch: pa.Table) -> pa.Table:
         boiler = ray.get(boiler_ref)
         keep = pc.invert(
             pc.is_in(batch.column("sent_hash"), value_set=boiler)
         )
-        ids = batch.column(id_col).to_pylist()
         return pa.table({
             id_col: batch.column(id_col),
             "sent_id": batch.column("sent_id"),
             "sentence": batch.column("sentence"),
             "keep": keep,
-            "part": pa.array(
-                [zlib.crc32(str(i).encode()) % num_parts for i in ids],
-                pa.int64(),
-            ),
         })
 
     def rebuild(g: pd.DataFrame) -> pd.DataFrame:
@@ -4378,11 +4099,9 @@ def strip_boilerplate(
         )
         return out.reset_index(drop=True)
 
-    return (
-        docs_ds.map_batches(explode, batch_format="pyarrow")
-        .map_batches(tag_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(rebuild, batch_format="pandas")
+    return exchange(
+        docs_ds.map_batches(explode, batch_format="pyarrow"), id_col,
+        rebuild, combine=mark_kept,
     )
 
 
@@ -4440,13 +4159,13 @@ def dup_span_scrub(
 
     Scale shape — three exchanges, text shipped exactly once:
 
-    1. gram explode (doc, pos, gram) → crc32(gram) coarse partition;
+    1. gram explode (doc, pos, gram) → ``exchange`` on the gram;
        each part holds ALL occurrences of its grams, so duplicated-ness
        is decided locally (join-free, like :func:`novelty_scores`) and
-       only qualifying (doc, pos) hits leave the part, re-keyed by doc.
+       only qualifying (doc, pos) hits leave the part.
     2. word explode (doc, pos, word) — the single text-bearing pass —
-       keyed by the same crc32(doc) rule and UNIONed with the hits.
-    3. one groupby over the doc partitions: islands via per-doc cummax
+       co-grouped with the hits by ONE ``exchange`` on the doc id.
+    3. per doc partition: islands via per-doc cummax
        (vectorized), word coverage via ``pd.merge_asof`` against the
        disjoint sorted spans (vectorized), reassembly via sorted
        group-join.
@@ -4458,9 +4177,7 @@ def dup_span_scrub(
     16 bytes (same trade the minhash path takes).
     """
     import re
-    import zlib
 
-    num_parts = _cluster_parts()
     ws = re.compile(r"[\t\n\f\r ]+")
 
     def explode_grams(batch: pa.Table) -> pa.Table:
@@ -4478,11 +4195,6 @@ def dup_span_scrub(
             id_col: pa.array(ids, pa.int64()),
             "pos": pa.array(poss, pa.int64()),
             "gram": pa.array(grams, pa.string()),
-            "part": pa.array(
-                [zlib.crc32(g.encode("utf-8")) % num_parts
-                 for g in grams],
-                pa.int64(),
-            ),
         })
 
     def dup_hits(g: pd.DataFrame) -> pa.Table:
@@ -4491,18 +4203,12 @@ def dup_span_scrub(
         )
         cnt = key.groupby(key).transform("size")
         out = g.loc[cnt >= min_count, [id_col, "pos"]]
-        # Arrow out (not pandas): this table is UNIONed with the Arrow
-        # word explode, and Ray's sort refuses mixed block types
+        # the same schema as the word explode: both arms of one co-group
         return pa.table({
             id_col: pa.array(out[id_col].to_numpy(), pa.int64()),
             "pos": pa.array(out["pos"].to_numpy(), pa.int64()),
             "word": pa.array([""] * len(out), pa.string()),
             "is_hit": pa.array([1] * len(out), pa.int64()),
-            "part": pa.array(
-                [zlib.crc32(str(i).encode()) % num_parts
-                 for i in out[id_col]],
-                pa.int64(),
-            ),
         })
 
     def explode_words(batch: pa.Table) -> pa.Table:
@@ -4521,10 +4227,6 @@ def dup_span_scrub(
             "pos": pa.array(poss, pa.int64()),
             "word": pa.array(words_, pa.string()),
             "is_hit": pa.array([0] * len(ids), pa.int64()),
-            "part": pa.array(
-                [zlib.crc32(str(i).encode()) % num_parts for i in ids],
-                pa.int64(),
-            ),
         })
 
     def rebuild(g: pd.DataFrame) -> pd.DataFrame:
@@ -4579,17 +4281,9 @@ def dup_span_scrub(
         )
         return out.reset_index(drop=True)
 
-    hits_ds = (
-        docs_ds.map_batches(explode_grams, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dup_hits, batch_format="pandas")
-    )
+    hits_ds = exchange(docs_ds, "gram", dup_hits, combine=explode_grams)
     words_ds = docs_ds.map_batches(explode_words, batch_format="pyarrow")
-    return (
-        words_ds.union(hits_ds)
-        .groupby("part")
-        .map_groups(rebuild, batch_format="pandas")
-    )
+    return exchange([words_ds, hits_ds], id_col, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -4646,42 +4340,32 @@ def sql_map_batches(ds, sql: str, *, concurrency=(1, 8),
 
 def set_op_distinct(left_ds, right_ds, op: str, *, cols: list):
     """SQL ``INTERSECT`` / ``EXCEPT`` (DISTINCT semantics) on ``cols``:
-    per-batch distinct projection tagged by side → crc32(row-key)
-    coarse partition (both sides of a given key land together) →
-    per-part vectorized membership decision. One co-partitioning
-    exchange of pre-deduped rows; output is globally distinct because
-    each key lives in exactly one partition. Null-safe row keys (NUL
-    separator over repr for ints / utf-8 for strings — per-part pandas
-    drop_duplicates does the exact comparison; the crc key only
-    routes)."""
-    import zlib
+    per-batch distinct projection tagged by side → ONE co-group
+    ``exchange`` on ``cols`` (both sides of a given key land together)
+    → per-part vectorized membership decision. Output is globally
+    distinct because each key lives in exactly one partition. Null-safe:
+    the exchange routes on the Arrow-typed key, and the per-part pandas
+    merge (nullable Int64, see ``_to_pandas_exact``) does the exact
+    comparison."""
+    from .joins import _to_pandas_exact
 
     if op not in ("intersect", "except"):
         raise ValueError(f"op must be intersect/except, got {op!r}")
-    num_parts = _cluster_parts()
 
     def project(side: int):
         def fn(batch: pa.Table) -> pa.Table:
-            # nullable Int64 (never per-batch int→float drift: a batch
-            # that happens to hold a null would otherwise flip ints to
-            # float64, changing both the routing repr and the merge
-            # dtype for THAT batch only)
-            df = batch.select(cols).to_pandas(
-                types_mapper=lambda t: pd.Int64Dtype()
-                if pa.types.is_integer(t) else None
-            ).drop_duplicates()
-            keys = [
-                zlib.crc32(
-                    b"\x00".join(repr(v).encode("utf-8") for v in row)
-                ) % num_parts
-                for row in df.itertuples(index=False)
-            ]
-            df = df.assign(_side=side, _part=keys)
-            return df
+            t = batch.select(cols).group_by(cols, use_threads=False)
+            t = t.aggregate([]).select(cols)  # Arrow-typed distinct rows
+            return t.append_column(
+                "_side", pa.array(np.full(t.num_rows, side), pa.int64())
+            )
 
         return fn
 
-    def decide(g: pd.DataFrame) -> pd.DataFrame:
+    def decide(t: pa.Table) -> pd.DataFrame:
+        # nullable Int64: a null-bearing part must not flip ints to
+        # float64 for THAT part only
+        g = _to_pandas_exact(t)
         l = g[g["_side"] == 0][cols].drop_duplicates()
         r = g[g["_side"] == 1][cols].drop_duplicates()
         # pandas merge matches NA==NA for nullable dtypes — exactly the
@@ -4693,11 +4377,10 @@ def set_op_distinct(left_ds, right_ds, op: str, *, cols: list):
             out = merged[merged["_merge"] == "left_only"][cols]
         return out.reset_index(drop=True)
 
-    union = left_ds.map_batches(
-        project(0), batch_format="pyarrow"
-    ).union(right_ds.map_batches(project(1), batch_format="pyarrow"))
-    return union.groupby("_part").map_groups(
-        decide, batch_format="pandas"
+    return exchange(
+        [left_ds.map_batches(project(0), batch_format="pyarrow"),
+         right_ds.map_batches(project(1), batch_format="pyarrow")],
+        cols, decide, batch_format="pyarrow",
     )
 
 
@@ -4706,31 +4389,28 @@ def mode_per_group(ds, *, group_col: str, value_col: str):
     per ``group_col``, ties broken by the smaller value (SQL mirror:
     ``row_number() OVER (PARTITION BY g ORDER BY cnt DESC, v)`` = 1 —
     never bare ``mode()``, whose tie-break is engine-defined).
-    Per-batch (group, value, n) combiner → crc32(group) coarse
-    partition (a group's every value lands together) → per-part count
+    Per-batch (group, value, n) Arrow combiner → ``exchange`` on the
+    group (a group's every value lands together) → per-part count
     merge + vectorized argmax. Emits (group_col, value_col, n)."""
-    import zlib
+    import pyarrow.compute as pc
 
-    num_parts = _cluster_parts()
+    from .joins import _to_pandas_exact
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def partial(batch: pa.Table) -> pa.Table:
+        # Arrow's hash aggregate groups NULL keys together, as SQL does
+        t = batch.group_by([group_col, value_col], use_threads=False)
+        t = t.aggregate([(value_col, "count", pc.CountOptions(mode="all"))])
+        return pa.table({
+            group_col: t.column(group_col),
+            value_col: t.column(value_col),
+            "n": t.column(f"{value_col}_count"),
+        })
+
+    def merge(t: pa.Table) -> pd.DataFrame:
         # nullable Int64 + dropna=False: SQL groups NULL keys together
-        # (pandas would silently drop them, and a null-bearing batch
-        # would flip int groups to float64)
-        b = batch.to_pandas(
-            types_mapper=lambda t: pd.Int64Dtype()
-            if pa.types.is_integer(t) else None
-        )
-        g = b.groupby(
-            [group_col, value_col], as_index=False, dropna=False
-        ).agg(n=(value_col, "size"))
-        g["_part"] = [
-            zlib.crc32(repr(k).encode("utf-8")) % num_parts
-            for k in g[group_col]
-        ]
-        return g
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        # (pandas would silently drop them, and a null-bearing part
+        # would flip int groups to float64); counts are never null
+        g = _to_pandas_exact(t).astype({"n": "int64"})
         agg = g.groupby(
             [group_col, value_col], as_index=False, dropna=False
         ).agg(n=("n", "sum"))
@@ -4746,11 +4426,8 @@ def mode_per_group(ds, *, group_col: str, value_col: str):
             [group_col, value_col, "n"]
         ].reset_index(drop=True)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(ds, group_col, merge, combine=partial,
+                    batch_format="pyarrow")
 
 
 def unpivot(ds, *, id_cols: list, value_cols: list,
@@ -4783,20 +4460,17 @@ def value_distribution(ds, col: str, *, by: str | None = None,
     """(value[, by]) → exact count table, exchanged as a DISTRIBUTION.
 
     Each batch collapses to at most |distinct values in batch| partial
-    rows (vectorized ``pc.value_counts`` / pandas groupby), then a
-    coarse value-hash partition sums the partials — the shuffle moves
+    rows (vectorized ``pc.value_counts`` / pandas groupby), then an
+    ``exchange`` on the value sums the partials — the shuffle moves
     the value distribution, never the rows, so its volume is bounded by
     the value domain (lengths/scores are small-int domains) regardless
     of corpus size."""
     import pyarrow.compute as pc
 
-    if num_parts is None:
-        num_parts = _cluster_parts()
-
     def partial(batch: pa.Table) -> pa.Table:
         # SQL aggregate semantics: NULL values never count toward the
-        # distribution (a null pc.value_counts row would also crash the
-        # partition cast below); a null GROUP key still forms its group.
+        # distribution (pc.value_counts would emit a null row); a null
+        # GROUP key still forms its group.
         batch = batch.filter(pc.is_valid(batch.column(col)))
         if by is None:
             vc = pc.value_counts(batch.column(col).combine_chunks())
@@ -4820,28 +4494,14 @@ def value_distribution(ds, col: str, *, by: str | None = None,
                     "cnt": pa.array(g["size"], pa.int64()),
                 }
             )
-        v64 = pc.cast(t.column("v"), pa.int64())
-        if (num_parts & (num_parts - 1)) == 0:
-            parts = pc.cast(pc.bit_wise_and(v64, num_parts - 1), pa.int64())
-        else:  # non-power-of-two: vectorized numpy modulo
-            parts = pa.array(
-                v64.combine_chunks().to_numpy(zero_copy_only=False)
-                % num_parts,
-                pa.int64(),
-            )
-        return t.append_column("part", parts)
+        return t
 
-    keys = (["part", by, "v"] if by else ["part", "v"])
+    keys = [by, "v"] if by else ["v"]
 
-    def combine(group: pd.DataFrame) -> pd.DataFrame:
-        out = group.groupby(keys[1:], as_index=False, dropna=False)["cnt"].sum()
-        return out
+    def merge(group: pd.DataFrame) -> pd.DataFrame:
+        return group.groupby(keys, as_index=False, dropna=False)["cnt"].sum()
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
-    )
+    return exchange(ds, "v", merge, combine=partial, num_parts=num_parts)
 
 
 def _rank_select(dist: pd.DataFrame, q_permille) -> list[tuple]:
@@ -4919,8 +4579,8 @@ def profile_table(ds, cols, *, kmv_k: int = 65536):
 
     ONE stream over the data: each batch emits one partial row per
     column (count, null count, min/max, and the column's k-minimum
-    md5 hash sketch packed as bytes), then a ``groupby(col)`` whose
-    group count is ``len(cols)`` — the shuffle carries #blocks×#cols
+    md5 hash sketch packed as bytes), then an ``exchange_per_key`` on
+    the column name (``len(cols)`` keys) — the shuffle carries #blocks×#cols
     tiny rows regardless of corpus size. ``n_distinct`` follows the
     repo-standard KMV rule (:func:`kmv_distinct_sketch`): exact below
     ``kmv_k`` distinct values (so the SQL oracle's COUNT(DISTINCT)
@@ -5027,12 +4687,9 @@ def profile_table(ds, cols, *, kmv_k: int = 65536):
             }
         )
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("col")
-        .map_groups(merge, batch_format="pandas")
-        .materialize()  # len(cols) rows
-    )
+    out = exchange_per_key(
+        ds.map_batches(partial, batch_format="pyarrow"), "col", merge
+    ).materialize()  # len(cols) rows
     if out.count() == 0:
         # zero input rows: the SQL mirror still emits one row per column
         # (COUNT -> 0, MIN/MAX -> NULL)

@@ -2,8 +2,9 @@
 partition.
 
 Every wide step (per-sentence dedup/top-k, surface canonicalization,
-edge dedup, the graph, join and window operators) runs the same shape:
-tag each row with ``hash(key) % num_parts``, sort-group on the tag
+edge dedup, the graph, join, window, corpus and query operators, the
+jobs) runs the same shape, and this module is the only one that builds
+it: tag each row with ``hash(key) % num_parts``, sort-group on the tag
 (``groupby(tag).map_groups``) and run one vectorized kernel per PART.
 That is a few large Ray groups instead of one per key (Ray pays ~1 ms
 of Python per aggregate group). The sort-based engine is kept on

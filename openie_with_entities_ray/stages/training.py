@@ -13,14 +13,16 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.labelgen import build_tags, make_extraction, parse_openie_line
+from .exchange import exchange
 
 
 def align_extractions(ds, max_rows_per_sentence: int = 5):
     """(sentence, extraction_line) rows → (sentence, tags list<list<str>>).
 
     Per-sentence grouping keeps the reference's per-example row cap
-    (data.py:260); alignment itself is per-row and embarrassingly
-    parallel."""
+    (data.py:260) — the first ``max_rows_per_sentence`` rows of each
+    sentence within its part of an ``exchange`` on the sentence;
+    alignment itself is per-row and embarrassingly parallel."""
 
     def align(batch: pa.Table) -> pa.Table:
         sentences = batch.column("sentence").to_pylist()
@@ -48,13 +50,20 @@ def align_extractions(ds, max_rows_per_sentence: int = 5):
 
     aligned = ds.map_batches(align, batch_format="pyarrow")
 
-    def cap(group: pa.Table) -> pa.Table:
-        # Arrow-native slice: keeps tags as list<string> blocks (a pandas
-        # group block turns the list column into object ndarrays that
-        # cannot convert back to Arrow for downstream sort/write stages).
-        return group.slice(0, max_rows_per_sentence)
+    def cap(part: pa.Table) -> pa.Table:
+        # Arrow-native first-N (a filter): keeps tags as list<string>
+        # blocks (a pandas block turns the list column into object
+        # ndarrays that cannot convert back to Arrow for downstream
+        # sort/write stages). The sentence key is NUL-safe bytes.
+        from .dataops import composite_key_bytes
 
-    return aligned.groupby("sentence").map_groups(cap, batch_format="pyarrow")
+        key = pd.Series(
+            composite_key_bytes(part.column("sentence").to_pylist())
+        )
+        rank = key.groupby(key, sort=False).cumcount().to_numpy()
+        return part.filter(pa.array(rank < max_rows_per_sentence))
+
+    return exchange(aligned, "sentence", cap, batch_format="pyarrow")
 
 
 def write_labels_file(aligned_ds, path: str) -> int:

@@ -1232,6 +1232,66 @@ def test_grouped_topk_total_order_and_nul_keys(ray_session):
     assert run(64, 3) == sorted(expected)
 
 
+def test_grouped_topk_null_key_is_not_the_string_none(ray_session):
+    """A null group key is its own group, as in SQL's GROUP BY: it must
+    not share a group with the string 'None' (str(None)), whichever
+    part count or block layout runs it."""
+    import pyarrow as pa
+    import ray.data
+
+    from openie_with_entities_ray.stages.dataops import (
+        composite_key_bytes,
+        grouped_topk,
+    )
+
+    keys = composite_key_bytes(["None", None, "nan", float("nan")])
+    assert keys[1] == keys[3]  # None and NaN are both SQL NULL
+    assert len({keys[0], keys[1], keys[2]}) == 3
+    tbl = pa.table({
+        "g": pa.array(["None", None, "None", None], pa.string()),
+        "id": pa.array([1, 2, 3, 4], pa.int64()),
+    })
+    for num_parts, num_blocks in ((1, 1), (64, 2)):
+        rows = grouped_topk(
+            ray.data.from_arrow(tbl).repartition(num_blocks),
+            group_cols=["g"], sort_cols=["id"], descending=[False], k=1,
+            num_parts=num_parts,
+        ).take_all()
+        assert sorted((r["g"] is None, r["id"]) for r in rows) == [
+            (False, 1), (True, 2)
+        ]
+
+
+def test_grouped_topk_int_key_with_null_in_a_later_batch(ray_session):
+    """An int key must route to one part whether or not its batch holds
+    a null: a null-free 65,536-row block of key 5, then a [5, null]
+    block. If the null-bearing batch's float64-widened key hashed
+    differently ('5.0' vs '5'), key 5 would keep one row in each of two
+    parts."""
+    import pyarrow as pa
+    import ray.data
+
+    from openie_with_entities_ray.stages.dataops import grouped_topk
+
+    n = 65_536
+    first = pa.table({
+        "k": pa.array([5] * n, pa.int64()),
+        "o": pa.array(range(n), pa.int64()),
+    })
+    second = pa.table({
+        "k": pa.array([5, None], pa.int64()),
+        "o": pa.array([n, n + 1], pa.int64()),
+    })
+    out = grouped_topk(
+        ray.data.from_arrow([first, second]), group_cols=["k"],
+        sort_cols=["o"], descending=[True], k=1, num_parts=64,
+    ).to_pandas()
+    key5 = out[out["k"] == 5]
+    assert len(key5) == 1
+    assert int(key5["o"].iloc[0]) == n
+    assert len(out) == 2  # key 5 and the null key
+
+
 def test_kmv_sketch_estimate_and_exact_paths(ray_session):
     import pyarrow as pa
     import ray.data

@@ -1,7 +1,8 @@
 """The coarse-partition exchange (stages/exchange.py): properties of the
-partition function, the exchange itself, and a guard that the ported
-stage/eval modules route every coarse shuffle through it."""
+partition function, the exchange itself, and a guard that every module
+of the package and the jobs routes its coarse shuffles through it."""
 
+import glob
 import json
 import os
 import random
@@ -184,28 +185,28 @@ def test_per_part_kernel_output_invariant_over_num_parts(ray_session, rows):
                                         num_parts=num_parts)) == expected
 
 
-_PORTED = [
-    "openie_with_entities_ray/stages/canonical.py",
-    "openie_with_entities_ray/stages/graph.py",
-    "openie_with_entities_ray/stages/graph_algos.py",
-    "openie_with_entities_ray/stages/joins.py",
-    "openie_with_entities_ray/stages/windows.py",
-    "openie_with_entities_ray/stages/render.py",
-    "openie_with_entities_ray/stages/group.py",
-    "openie_with_entities_ray/eval/distributed.py",
-]
-
-
 def test_ported_modules_compute_no_partition_themselves():
-    """Each ported module's coarse shuffles go through
-    stages/exchange.py: no crc32 partition, part-count prologue or
-    hand-written groupby→map_groups may creep back."""
-    banned = re.compile(r"zlib|crc32|_cluster_parts\(|\.map_groups\(")
-    for rel in _PORTED:
-        with open(os.path.join(ROOT, rel), encoding="utf-8") as f:
-            hits = [
-                f"{rel}:{i}: {line.strip()}"
-                for i, line in enumerate(f, 1)
-                if banned.search(line)
-            ]
-        assert not hits, "\n".join(hits)
+    """Every coarse shuffle of the package and the jobs goes through
+    stages/exchange.py: outside it, no module may call ``.map_groups(``
+    or ``_cluster_parts()`` (the hand-written groupby→map_groups and
+    its part-count prologue), and outside functions/codecs.py (whose
+    zlib is the PNG codec) none may compute a zlib/crc32 partition."""
+    shuffle = re.compile(r"_cluster_parts\(\)|\.map_groups\(")
+    crc = re.compile(r"zlib|crc32")
+    files = sorted(
+        glob.glob(os.path.join(ROOT, "openie_with_entities_ray", "**",
+                               "*.py"), recursive=True)
+        + glob.glob(os.path.join(ROOT, "jobs", "*.py"))
+    )
+    assert len(files) > 30
+    hits = []
+    for path in files:
+        rel = os.path.relpath(path, ROOT)
+        with open(path, encoding="utf-8") as f:
+            for i, line in enumerate(f, 1):
+                if ((rel != "openie_with_entities_ray/stages/exchange.py"
+                     and shuffle.search(line))
+                        or (rel != "openie_with_entities_ray/functions/"
+                            "codecs.py" and crc.search(line))):
+                    hits.append(f"{rel}:{i}: {line.strip()}")
+    assert not hits, "\n".join(hits)
