@@ -89,7 +89,7 @@ def run_cross_shard(shards, out_dir: str, method: str = "minhash", *,
     import ray.data
 
     from openie_with_entities_ray.stages.dataops import (
-        MinHashSignatures,
+        _bucketed_signatures,
         cluster_cpus,
         minhash_band_pairs,
         simhash_band_pairs,
@@ -105,13 +105,9 @@ def run_cross_shard(shards, out_dir: str, method: str = "minhash", *,
         sig_columns = ["doc_id", "band", "band_hash", "signature"]
 
         def signatures(docs):
-            return docs.map_batches(
-                MinHashSignatures,
-                fn_constructor_kwargs=dict(
-                    num_perm=MINHASH_NUM_PERM, num_bands=MINHASH_NUM_BANDS
-                ),
-                batch_format="pyarrow",
-                concurrency=(1, 8),
+            return _bucketed_signatures(
+                docs, num_perm=MINHASH_NUM_PERM, num_bands=MINHASH_NUM_BANDS,
+                text_col="text", id_col="doc_id", seed=7,
             )
 
         def band_pairs(sig_ds):

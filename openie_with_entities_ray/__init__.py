@@ -7,8 +7,9 @@ iterative grid labeling; see SURVEY.md) as ``ray.data.Dataset`` pipelines:
 - ``functions/``  pure per-sentence kernels (coordination decode, sentence
   splitting, triple decode, dedup) with bit-parity to the reference
   semantics, called inside ``map_batches``;
-- ``state/``      stateful components hosted in actor pools (sequence
-  labelers, NER tagger, entity linker);
+- ``state/``      stateful components built once per worker process by
+  the kernel classes that ``stages/extract.py:map_kernel`` runs
+  (sequence labelers, NER tagger, entity linker);
 - ``sources/``    readers for the source_docs Parquet table and the
   reference's text formats (CaRB gold TSV, allennlp, tabbed, labels, conj);
 - ``stages/``     Ray Data stage builders (map_batches / groupby wrappers);

@@ -24,13 +24,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..stages.canonical import canonicalize_surfaces
-from ..stages.extract import (
-    ConjSplitter,
-    FusedExtractor,
-    OIEExtractor,
-    map_kernel,
-)
-from ..stages.entity import tag_entities
+from ..stages.extract import FusedExtractor, map_kernel
 from ..stages.graph import (
     clear_partition,
     commit_partition,
@@ -42,7 +36,6 @@ from ..stages.graph import (
     # patches ``flagship.write_partition`` by name (perfbench/session.py)
     write_partition,  # noqa: F401
 )
-from ..stages.group import dedup_topk_grouped
 from ..stages.sentences import DOCS_BATCH, _explode_batch, docs_to_sentences
 
 
@@ -52,7 +45,6 @@ def extract_triples(
     seed: int = 777,
     num_extractions: int = 5,
     no_lt: bool = False,
-    fused: bool = True,
     batch_size: int = 512,
     labeler_spec: dict | None = None,
 ):
@@ -62,54 +54,33 @@ def extract_triples(
     state/labeler.py:make_labeler) — e.g. ``{"kind": "grid",
     "oie_weights": "w.npz", "conj_weights": "w.npz"}`` runs the numpy
     BERT forward inside the tasks instead of the surrogate."""
-    sentences = docs_to_sentences(docs_ds)
-    if fused:
-        return map_kernel(
-            sentences, FusedExtractor, batch_size=batch_size, seed=seed,
-            num_extractions=num_extractions, no_lt=no_lt,
-            labeler_spec=labeler_spec,
-        )
-    # staged variant: conj-split stage → OIE stage → grouped dedup/top-k
-    splits = map_kernel(
-        sentences, ConjSplitter, batch_size=batch_size, seed=seed,
-        labeler_spec=labeler_spec,
-    ).drop_columns(["conj_words", "split_indices"])
-    raw = map_kernel(
-        splits, OIEExtractor, batch_size=batch_size, seed=seed, no_lt=no_lt,
+    return map_kernel(
+        docs_to_sentences(docs_ds), FusedExtractor, batch_size=batch_size,
+        seed=seed, num_extractions=num_extractions, no_lt=no_lt,
         labeler_spec=labeler_spec,
     )
-    return dedup_topk_grouped(raw, num_extractions)
 
 
-def extract_triples_with_entities(docs_ds, ent_backend: str = "dictionary",
-                                  fused: bool = True, **kwargs):
-    """Fused default: extraction + entity tagging in one kernel
+def extract_triples_with_entities(
+    docs_ds,
+    ent_backend: str = "dictionary",
+    *,
+    seed: int = 777,
+    num_extractions: int = 5,
+    no_lt: bool = False,
+    batch_size: int = 512,
+    labeler_spec: dict | None = None,
+):
+    """Extraction + entity tagging in one kernel
     (stages/entity.py:FusedExtractorWithEntities — saves an object-store
-    round trip of the full triples table). The staged path keeps the two
-    stages separate."""
-    if fused:
-        from ..stages.entity import FusedExtractorWithEntities
+    round trip of the full triples table)."""
+    from ..stages.entity import FusedExtractorWithEntities
 
-        seed = kwargs.pop("seed", 777)
-        num_extractions = kwargs.pop("num_extractions", 5)
-        no_lt = kwargs.pop("no_lt", False)
-        labeler_spec = kwargs.pop("labeler_spec", None)
-        batch_size = kwargs.pop("batch_size", 512)
-        if kwargs:
-            # the staged branch would raise via extract_triples(**kwargs);
-            # a silently-dropped typo (num_extraction=) must not run with
-            # defaults here either
-            raise TypeError(
-                f"unexpected keyword arguments: {sorted(kwargs)}"
-            )
-        return map_kernel(
-            docs_to_sentences(docs_ds), FusedExtractorWithEntities,
-            batch_size=batch_size, seed=seed,
-            num_extractions=num_extractions, no_lt=no_lt,
-            backend=ent_backend, labeler_spec=labeler_spec,
-        )
-    return tag_entities(extract_triples(docs_ds, fused=False, **kwargs),
-                        backend=ent_backend)
+    return map_kernel(
+        docs_to_sentences(docs_ds), FusedExtractorWithEntities,
+        batch_size=batch_size, seed=seed, num_extractions=num_extractions,
+        no_lt=no_lt, backend=ent_backend, labeler_spec=labeler_spec,
+    )
 
 
 def build_graph(triples_ds, *, deduped: bool = True):

@@ -34,7 +34,6 @@ def _docs(sf_dir, num_blocks: int | None = None):
     without it every downstream stage runs as a single task regardless
     of cluster size (at production scale file count provides natural
     block parallelism and the repartition is unnecessary)."""
-    import ray.data
 
     ds = cached_read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
@@ -477,8 +476,6 @@ FROM w
 
 
 def q_ann_topk(sf_dir):
-    import ray.data
-
     from .stages.dataops import ann_topk
 
     emb = cached_read_parquet(
@@ -523,7 +520,6 @@ def _cents(x: float) -> int:
 def q_lineitem_agg(sf_dir):
     """TPC-H Q1 shape: per-batch combiner → tiny groupby (no raw-row
     shuffle)."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     ds = cached_read_parquet(
@@ -892,9 +888,6 @@ def q_revenue_by_nation_salted(sf_dir):
     "salted keys for skewed popular entities") verified by the same
     value-hash oracle: a hot key spreads over num_salts partitions
     instead of capping the join at one straggler aggregator."""
-    import ray
-    import ray.data
-    from ray.data.aggregate import Sum
 
     from .stages.joins import salted_join
 
@@ -1042,7 +1035,6 @@ FROM gaps GROUP BY user_id
 
 
 def q_mktsegment_stats(sf_dir):
-    import ray.data
     from ray.data.aggregate import Sum
 
     cust = cached_read_parquet(
@@ -1268,8 +1260,6 @@ def _conf_to_centi(ds):
 
 
 def q_triples(sf_dir):
-    from .pipelines.flagship import extract_triples
-
     return _conf_to_centi(
         _shared_triples(sf_dir).drop_columns(
             ["orig_sentence", "content_sha256"]
@@ -1281,7 +1271,6 @@ def q_triples_entities(sf_dir):
     """Entity-typed triples, projected for the hash gate: list columns go
     out as comma-joined strings (the driver compare stringifies columns —
     numpy arrays from the two sides print differently)."""
-    from .pipelines.flagship import extract_triples_with_entities
 
     tr = _shared_triples_entities(sf_dir).drop_columns(
         ["orig_sentence", "content_sha256"]
@@ -1343,15 +1332,12 @@ def q_conj_splits_coord(sf_dir):
 
 
 def q_graph_nodes(sf_dir):
-    from .pipelines.flagship import extract_triples
     from .stages.canonical import canonicalize_surfaces
 
     return canonicalize_surfaces(_shared_triples(sf_dir))
 
 
 def q_graph_edges(sf_dir):
-    from .pipelines.flagship import build_graph, extract_triples
-
     edges = _shared_graph_edges(sf_dir)
     return _conf_to_centi(edges)
 
@@ -1488,7 +1474,6 @@ def q_pagerank(sf_dir):
     over the flagship edge graph via the labels-stay-a-Dataset path
     (stages/graph_algos.py:pagerank_join) — hash-gated against the
     unrolled-CTE DuckDB oracle (oracles.sql_pagerank)."""
-    from .pipelines.flagship import build_graph, extract_triples
     from .stages.graph_algos import pagerank_join
 
     edges = _shared_graph_edges(sf_dir)
@@ -1496,7 +1481,6 @@ def q_pagerank(sf_dir):
 
 
 def q_predicate_freq(sf_dir):
-    from .pipelines.flagship import extract_triples
     from .stages.canonical import predicate_frequencies
 
     return predicate_frequencies(_shared_triples(sf_dir))
@@ -1507,8 +1491,6 @@ def q_violations(sf_dir):
     ``Sum`` aggregate (no driver-side partials table — the aggregate tree
     reduces on workers and returns five scalars)."""
     from ray.data.aggregate import Sum
-
-    from .pipelines.flagship import extract_triples_with_entities
 
     tr = _shared_triples_entities(sf_dir)
 
@@ -1607,7 +1589,6 @@ def q_carb_selfcheck(sf_dir):
     import ray.data
 
     from .eval.distributed import carb_precision_recall
-    from .pipelines.flagship import extract_triples
     from .pipelines.oracle import oracle_predictions
 
     pred = _shared_triples(sf_dir).map_batches(
@@ -1742,7 +1723,6 @@ FROM scored
 def q_doc_sample(sf_dir):
     """Deterministic 10% corpus sample (content-addressed md5 rule — no
     RNG state, identical across cluster sizes/retries/resume)."""
-    import ray.data
 
     from .stages.dataops import deterministic_sample
 
@@ -1761,7 +1741,6 @@ WHERE md5_number_lower('sample|' || CAST(doc_id AS VARCHAR)) % 1000 < 100
 def q_doc_sample_stratified(sf_dir):
     """Mixture-weighted sampling: 50% of 'en', 25% of 'de', 5% of
     everything else (the training-data mixture rebalance shape)."""
-    import ray.data
 
     from .stages.dataops import stratified_sample
 
@@ -1801,7 +1780,6 @@ WHERE n_words BETWEEN 20 AND 1000
 def q_corpus_budget(sf_dir):
     """Per-language token-budget accounting (docs / words / BPE-ish
     tokens): the how-much-training-data-per-language question."""
-    import ray.data
 
     from .stages.dataops import corpus_budget
 
@@ -1820,8 +1798,6 @@ def q_mixture_weights(sf_dir):
     roots — `weight_bp = isqrt(n)*10000 // Σ isqrt(n)` — so the hash
     gate cannot drift on float pow."""
     import math
-
-    import ray.data
 
     from .stages.dataops import corpus_budget
 
@@ -2128,8 +2104,6 @@ def q_embedding_dups(sf_dir):
     (``embedding_dups_lsh``) is measured against."""
     import pyarrow.parquet as pq
 
-    import ray.data
-
     from .stages.dataops import embedding_dup_pairs_exact
 
     ref = pq.read_table(
@@ -2164,8 +2138,6 @@ def q_embedding_alignment(sf_dir):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    import ray.data
-
     from .stages.dataops import mutual_nn_pairs
 
     ref = pq.read_table(
@@ -2193,7 +2165,6 @@ def q_label_centroids(sf_dir):
     dim) — the feature-engineering class-centroid op with no float
     parity risk. Per-batch numpy column sums per label (64 ints per
     label per batch) → tiny (label, dim) merge."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     emb = cached_read_parquet(
@@ -2359,7 +2330,6 @@ def q_embedding_dups_lsh(sf_dir):
     """Approximate (LSH-bucketed) variant — the 100 TB scale path; its
     recall against the exact baseline is gated by pytest, its plumbing by
     the driver's rows-only check."""
-    import ray.data
 
     from .stages.dataops import embedding_near_dup_pairs
 
@@ -2446,8 +2416,7 @@ def q_jaccard_pairs(sf_dir):
     """LSH candidate generation + exact n-gram Jaccard verify (the
     candidate→verify dedup shape). Drives the PRODUCTION verify path —
     candidates hash-joined back to the documents table by id, no
-    driver-built text dict; the broadcast fast path stays available via
-    the ``doc_texts`` argument (pytest-gated equal)."""
+    driver-built text dict."""
     from .stages.dataops import jaccard_verified_pairs
 
     return jaccard_verified_pairs(
@@ -2568,7 +2537,6 @@ def q_events_last_order(sf_dir):
     partitioning. Exercises stages/joins.py:asof_join (one co-partition
     shuffle + compiled merge_asof per partition)."""
     import pyarrow.compute as pc
-    import ray.data
 
     from .stages.joins import asof_join
 
@@ -2622,7 +2590,6 @@ def q_purchase_followups(sf_dir):
     stages/joins.py:range_join (co-partition shuffle + two searchsorted
     calls per key group — no cartesian beyond actual matches)."""
     import pyarrow.compute as pc
-    import ray.data
 
     from .stages.joins import range_join
 
@@ -2675,7 +2642,6 @@ def q_top_docs_per_lang(sf_dir):
     the generic ``grouped_topk`` operator (per-batch combiner + NUL-safe
     coarse partition; shuffle moves at most k rows per group per
     batch)."""
-    import ray.data
 
     from .stages.dataops import grouped_topk
 
@@ -2755,7 +2721,6 @@ def q_doc_top_terms(sf_dir):
     partitioned df counts, a hash JOIN back on term (never a
     driver-side vocabulary), grouped_topk for the per-doc argmax.
     Pandas groupbys key on utf-8 BYTES (NUL-safe discipline)."""
-    import ray.data
 
     from .stages.dataops import grouped_topk
 
@@ -2850,7 +2815,6 @@ def q_distinct_token_estimate(sf_dir):
     size, and the deterministic md5 hash makes the ESTIMATE itself
     bit-reproducible — the DuckDB oracle computes the identical number
     from the identical kth-smallest hash."""
-    import ray.data
 
     from .stages.dataops import kmv_distinct_sketch
 
@@ -3057,7 +3021,6 @@ def q_order_priority_counts(sf_dir):
     from datetime import datetime
 
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from .stages.dataops import cluster_cpus
@@ -3125,7 +3088,6 @@ def q_returnflag_priority(sf_dir):
     from datetime import datetime
 
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from .stages.dataops import cluster_cpus
@@ -3195,7 +3157,6 @@ def q_customers_without_events(sf_dir):
     folds into a fixed-size bit array (one pass, driver ORs per-batch
     partials), Bloom misses stream straight to the output, and only the
     candidate slice pays the ``left_anti`` hash shuffle."""
-    import ray.data
 
     from .stages.joins import bloom_anti_join
 
@@ -3233,7 +3194,6 @@ def q_running_revenue(sf_dir):
     o_orderkey)``. ONE coarse hash shuffle on the customer key, one
     vectorized sort+cumsum per part (stages/windows.py:running_sum);
     integer cents per row summed in int64 so every prefix is exact."""
-    import ray.data
 
     from .stages.windows import running_sum
 
@@ -3277,7 +3237,6 @@ def q_event_gaps(sf_dir):
     event_id)``), first event per user dropped so the gap column stays
     exact int64. Same one-shuffle window shape
     (stages/windows.py:lag_delta)."""
-    import ray.data
 
     from .stages.windows import lag_delta
 
@@ -3318,7 +3277,6 @@ def q_rolling_event_stats(sf_dir):
     CURRENT ROW``. One coarse shuffle + per-key binary searches
     (stages/windows.py:range_rolling); value goes to cents per row
     BEFORE the window sum so both engines add exact int64."""
-    import ray.data
 
     from .stages.windows import range_rolling
 
@@ -3367,7 +3325,6 @@ def q_order_count_distribution(sf_dir):
     c_count=0 row is total customers (parquet metadata count) minus the
     customers seen in orders — computed from the final few-dozen-row
     aggregate, so the driver never touches row-scale data."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     orders = cached_read_parquet(
@@ -3599,7 +3556,6 @@ def q_doc_length_histogram(sf_dir):
     """Fixed-width histogram over document length (200-char bins) with
     per-bin min/max: per-batch combiner → tiny groupby over the bin
     count (bounded by max doc length / 200, not corpus size)."""
-    import ray.data
     from ray.data.aggregate import Max, Min, Sum
 
     docs = cached_read_parquet(
@@ -3637,7 +3593,6 @@ def q_lineitem_profile(sf_dir):
     per-column stats — non-null count, integer-cents sum/min/max — for
     every numeric lineitem measure. Per-batch partial produces 4 rows
     per batch; the final aggregate has 4 groups."""
-    import ray.data
     from ray.data.aggregate import Max, Min, Sum
 
     cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
@@ -3706,8 +3661,6 @@ def q_new_docs_vs_snapshot(sf_dir):
     snapshot folds to a fixed-size bit array however many TB it spans
     and only Bloom hits pay the hash shuffle."""
     import hashlib
-
-    import ray.data
 
     from .stages.joins import bloom_anti_join
 
@@ -3801,7 +3754,6 @@ def q_orders_checksum(sf_dir):
     exact-typed columns. Commutative addition of per-row md5 values →
     the result is identical under any partitioning, task order or
     retry; see stages/dataops.py:table_checksum."""
-    import ray.data
 
     from .stages.dataops import table_checksum
 
@@ -3837,7 +3789,6 @@ def q_conversion_funnel(sf_dir):
     on user_id; inside each part the three steps are vectorized
     pandas min-merges (never a Python loop per user). Output
     (step, n_users)."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     ev = cached_read_parquet(
@@ -3935,7 +3886,6 @@ def q_doc_percentile_rank(sf_dir):
     ``percent_rank() OVER (ORDER BY n_chars)`` as exact integer
     permille, computed with a broadcast cumulative histogram instead of
     a global sort (stages/dataops.py:percent_rank_by_value)."""
-    import ray.data
 
     from .stages.dataops import percent_rank_by_value
 
@@ -3961,7 +3911,6 @@ def q_triangle_count(sf_dir):
     ~sqrt(2m) after orientation, so wedges are O(m^1.5) under any hub
     skew) — stages/graph_algos.py:triangle_count; counted against a
     three-way self-join DuckDB oracle."""
-    from .pipelines.flagship import build_graph, extract_triples
     from .stages.graph_algos import triangle_count
 
     edges = _shared_graph_edges(sf_dir)
@@ -3991,7 +3940,6 @@ def q_link_prediction(sf_dir):
     center (coarse-partitioned, vectorized triu expansion), pair-keyed
     co-group vs the edge set for the anti-join, per-part top-k → tiny
     merge. stages/graph_algos.py:common_neighbors_topk."""
-    from .pipelines.flagship import build_graph, extract_triples
     from .stages.graph_algos import common_neighbors_topk
 
     edges = _shared_graph_edges(sf_dir)
@@ -4133,7 +4081,6 @@ def q_distinct_users_by_type(sf_dir):
     event type (exact below k=256 per group, as on the fixture) —
     deterministic md5 hashing, bit-reproducible and SQL-mirrored.
     stages/dataops.py:kmv_distinct_by_group."""
-    import ray.data
 
     from .stages.dataops import kmv_distinct_by_group
 
@@ -4173,7 +4120,6 @@ def q_event_type_cooccurrence(sf_dir):
     user_id; per part a vectorized distinct + in-memory pair expansion
     (pair domain is types², bounded); final aggregate over ≤ C(T,2)
     groups."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     ev = cached_read_parquet(
@@ -4304,7 +4250,6 @@ def q_kmeans_clusters(sf_dir):
     CTEs (_sql_kmeans_ctes) and value-hash-matches; a differential
     test vs the single-array numpy mirror also runs
     (tests/test_dataops.py). stages/dataops.py:kmeans_embeddings."""
-    import ray.data
 
     from .stages.dataops import kmeans_embeddings
 
@@ -4322,7 +4267,6 @@ def q_hard_negatives(sf_dir):
     exact-integer k-means labeling with the brute-force cosine ranker;
     the cluster labels attach to the embeddings via the empty-safe
     equi_join co-group (labels are corpus-sized — never broadcast)."""
-    import ray.data
 
     from .stages.dataops import ann_topk, kmeans_embeddings
     from .stages.joins import equi_join
@@ -4431,7 +4375,6 @@ def q_semantic_dedup(sf_dir):
     threshold would drop nothing and the gate would never exercise the
     drop path — 0.3 yields 276 survivors of 500 and value-hashes the
     actual dedup behavior."""
-    import ray.data
 
     from .stages.dataops import semantic_dedup
 
@@ -4504,7 +4447,6 @@ def q_communities(sf_dir):
     flagship edge graph — most-frequent-neighbor-label update with a
     total-order tie-break so the unrolled-CTE DuckDB oracle mirrors it
     bit-for-bit. stages/graph_algos.py:label_propagation_join."""
-    from .pipelines.flagship import build_graph, extract_triples
     from .stages.graph_algos import label_propagation_join
 
     edges = _shared_graph_edges(sf_dir)
@@ -4522,7 +4464,7 @@ def q_edge_provenance(sf_dir):
     repo:path:sent_id refs per (src, rel, dst) over the UNDEDUPED edge
     table — bounded output per edge however hot the edge.
     stages/graph.py:edge_provenance."""
-    from .pipelines.flagship import build_graph, extract_triples
+    from .pipelines.flagship import build_graph
     from .stages.graph import edge_provenance
 
     _, edges = build_graph(
@@ -4542,7 +4484,7 @@ def q_kg_snapshot_diff(sf_dir):
     from HALF the corpus (even last commit hex digit) against the full
     corpus's — which edges the other half adds or rescores. One
     co-partitioned exchange. stages/graph.py:kg_snapshot_diff."""
-    from .pipelines.flagship import build_graph, extract_triples
+    from .pipelines.flagship import build_graph
     from .stages.graph import kg_snapshot_diff
 
     def even_edges():
@@ -4583,7 +4525,6 @@ def q_kcore(sf_dir):
     family), while this graph keeps a 10k+-node core. Two coarse
     co-group exchanges per round, no native joins.
     stages/graph_algos.py:kcore_join."""
-    import ray.data
 
     from .stages.graph_algos import kcore_join
 
@@ -4630,7 +4571,6 @@ def q_supplier_name_pairs(sf_dir):
     distance 1 via FastSS deletion neighborhoods — O(N·len) blocking
     keys, never the O(N²) cross product the oracle runs.
     stages/dataops.py:edit_distance_join."""
-    import ray.data
 
     from .stages.dataops import edit_distance_join
 
@@ -4724,7 +4664,6 @@ def q_dataset_splits(sf_dir):
     """Deterministic train/val/test assignment (5%/5%/90%) by the
     content-addressed md5 rule — cluster-size/retry/resume-invariant.
     stages/dataops.py:dataset_splits."""
-    import ray.data
 
     from .stages.dataops import dataset_splits
 
@@ -4750,7 +4689,6 @@ def q_decontaminated_docs(sf_dir):
     split) sharing any word 5-gram with the held-out 'test' split —
     benchmark grams broadcast once, training side one stateless pass.
     stages/dataops.py:decontaminate."""
-    import ray.data
 
     from .stages.dataops import dataset_splits, decontaminate
 
@@ -4833,7 +4771,6 @@ def q_source_overlap(sf_dir):
     counts →
     tiny (source_a, source_b) sum. Source cardinality is small by
     nature; fingerprints never leave the workers."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     from .functions.textstats import winnow_fingerprints
@@ -4968,7 +4905,6 @@ def q_props_stats(sf_dir):
     per-type merge; raw JSON never shuffles."""
     import json as _json
 
-    import ray.data
     from ray.data.aggregate import Max, Min, Sum
 
     ev = cached_read_parquet(
@@ -5050,7 +4986,6 @@ def q_term_pairs(sf_dir):
     highest-df terms — raw integer counts (n_both, n_a, n_b) so any
     association measure (PMI, lift) derives exactly.
     stages/dataops.py:term_cooccurrence_topk."""
-    import ray.data
 
     from .stages.dataops import term_cooccurrence_topk
 
@@ -5065,7 +5000,6 @@ def q_doc_sample_weighted(sf_dir):
     probability n_chars/2000 (long docs upweighted), content-addressed
     so the sample is cluster-size/retry/resume-invariant.
     stages/dataops.py:weighted_sample."""
-    import ray.data
 
     from .stages.dataops import weighted_sample
 
@@ -5080,7 +5014,6 @@ def q_doc_sample_exact_k(sf_dir):
     """Exactly-k-per-language deterministic sample (fixed-size eval
     subsets): the k smallest md5(salt|id) per stratum — guaranteed size,
     content-addressed invariance. stages/dataops.py:exact_k_sample."""
-    import ray.data
 
     from .stages.dataops import exact_k_sample
 
@@ -5116,7 +5049,6 @@ def q_packed_sequences(sf_dir):
     cut into 128-token bins — a distributed exclusive prefix sum
     (bucket partials → driver bucket offsets → per-bucket cumsum).
     stages/dataops.py:pack_sequences."""
-    import ray.data
 
     from .stages.dataops import pack_sequences
 
@@ -5192,7 +5124,6 @@ def q_bm25_topk(sf_dir):
     """BM25 top-10 for a fixed 3-term query: combiner-shaped stats pass
     (one row per batch) → broadcast constants → per-batch partial top-k
     → tiny merge. stages/dataops.py:bm25_topk."""
-    import ray.data
 
     from .stages.dataops import bm25_topk
 
@@ -5272,7 +5203,6 @@ def q_training_order(sf_dir):
     WITHOUT a global sort — the hash's top bits bucket the order and a
     distributed exclusive prefix sum ranks within buckets.
     stages/dataops.py:training_order."""
-    import ray.data
 
     from .stages.dataops import training_order
 
@@ -5297,7 +5227,6 @@ def q_ngram_counts(sf_dir):
     contamination-screen raw material). Combiner → ``exchange`` on the
     n-gram → in-part threshold: sub-threshold singletons die inside
     their partition. stages/dataops.py:ngram_counts."""
-    import ray.data
 
     from .stages.dataops import ngram_counts
 
@@ -5569,7 +5498,6 @@ def q_range_bounds(sf_dir):
     """Equi-depth range-partition boundaries over documents.n_chars
     from the standard md5 deterministic sample — the planning step
     before a balanced global sort. stages/dataops.py:range_bounds."""
-    import ray.data
 
     from .stages.dataops import range_bounds
 
@@ -6283,7 +6211,6 @@ def q_small_quantity_revenue(sf_dir):
     one Ray group per part); pass 2 joins the stats back on partkey
     with the empty-safe equi_join co-group and sums the qualifying
     revenue as per-batch partials — the driver sees two numbers."""
-    import ray.data
 
     from .stages.joins import equi_join
 
@@ -6370,7 +6297,6 @@ def q_forecast_revenue(sf_dir):
     from datetime import datetime
 
     import pyarrow.compute as pc
-    import ray.data
 
     li = cached_read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -6416,8 +6342,6 @@ def q_forecast_revenue(sf_dir):
             "revenue_cents": pa.array([int(total or 0)], pa.int64()),
             "n_rows": pa.array([kept.num_rows], pa.int64()),
         })
-
-    import ray.data
 
     parts = li.map_batches(partial, batch_format="pyarrow").to_pandas()
     out = pd.DataFrame({
@@ -6536,7 +6460,6 @@ def q_top_supplier(sf_dir):
     from datetime import datetime
 
     import pyarrow.parquet as pq
-    import ray.data
     from ray.data.aggregate import Sum
 
     li = cached_read_parquet(
@@ -6808,8 +6731,6 @@ def q_sales_opportunity(sf_dir):
     side folds into a fixed-size bit array and only Bloom-hit candidates
     pay the hash shuffle."""
     import pyarrow.compute as pc
-    import ray
-    import ray.data
     from ray.data.aggregate import Count, Sum
 
     from .stages.joins import bloom_anti_join
@@ -6919,7 +6840,6 @@ def q_embedding_gram(sf_dir):
     over dim² (not corpus-sized) groups. int64 stays exact up to ~3e11
     rows at |x|<=5; shard the corpus and stack Gram partials beyond
     that."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     emb = cached_read_parquet(
@@ -7169,10 +7089,9 @@ def q_sql_projection(sf_dir):
     """The DuckDB-per-batch extension surface
     (stages/dataops.py:DuckDBBatchSQL): an arbitrary row-local SQL
     projection+filter pushed into the distributed map — connection per
-    actor, zero-copy Arrow both ways. The oracle runs the IDENTICAL
+    worker process, zero-copy Arrow both ways. The oracle runs the IDENTICAL
     statement over the whole table, which is exactly the equivalence
     row-locality guarantees."""
-    import ray.data
 
     from .stages.dataops import sql_map_batches
 
@@ -7190,7 +7109,6 @@ def q_user_customer_coverage(sf_dir):
     per-user event counts (users < 10) against a customer slice
     (custkey 5..14), so the gate sees left-only, matched, and
     right-only rows with real nulls on both sides."""
-    import ray.data
     from ray.data.aggregate import Count
 
     from .stages.joins import full_outer_join
@@ -7230,8 +7148,6 @@ FROM l FULL OUTER JOIN r ON l.user_id = r.cust_id
 
 
 def _setop_sides(sf_dir):
-    import ray.data
-
     li = lambda: cached_read_parquet(  # noqa: E731
         f"{sf_dir}/lineitem.parquet",
         columns=["l_suppkey", "l_partkey", "l_quantity"],
@@ -7287,7 +7203,6 @@ def q_event_type_mode(sf_dir):
     the lexicographically smaller type — stages/dataops.py:
     mode_per_group: combiner → ``exchange`` on the group →
     vectorized per-part argmax)."""
-    import ray.data
 
     from .stages.dataops import mode_per_group
 

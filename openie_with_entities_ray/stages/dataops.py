@@ -7,10 +7,11 @@ Distributed shapes — every shuffle is ``stages/exchange.py``:
 ``exchange_per_key`` (one kernel call per key of a bounded column):
 - exact dedup: content hash (per-batch combiner) → ``exchange`` on the
   hash → min-key witness per hash (SURVEY.md §2.8);
-- MinHash-LSH: signature per row (actor pool; permutation params built
-  once per actor) → explode to (band, band_hash, id, signature) rows →
-  ``exchange`` on (band, band_hash) → in-bucket pairs verified by
-  signature agreement (no text re-shipped) → distinct pairs;
+- MinHash-LSH: signature per row (a ``map_kernel`` task stage;
+  permutation params built once per worker process) → explode to
+  (band, band_hash, id, signature) rows → ``exchange`` on (band,
+  band_hash) → in-bucket pairs verified by signature agreement (no text
+  re-shipped) → distinct pairs;
 - SimHash: 64-bit signature → 4x16-bit band buckets → ``exchange`` on
   (band, band_key) → in-bucket Hamming verify;
 - term / n-gram statistics: per-batch Counter combiner → ``exchange`` on
@@ -40,6 +41,7 @@ from ..functions.textstats import (
     token_count,
 )
 from .exchange import exchange, exchange_per_key
+from .extract import map_kernel
 
 # ---------------------------------------------------------------------------
 # text analysis
@@ -573,7 +575,8 @@ def distinct_pairs(pairs_ds, value_col: str, how: str = "max",
 
 
 class MinHashSignatures:
-    """Actor: permutation params once per actor; signatures per batch."""
+    """Kernel: permutation params once per worker process (built by
+    :func:`.extract.map_kernel`); signatures per batch."""
 
     def __init__(self, num_perm: int = 128, seed: int = 7, k: int = 3,
                  text_col: str = "text", id_col: str = "doc_id",
@@ -844,8 +847,6 @@ def leakage_safe_splits(
     ``pairs_ds`` overrides the pair source exactly as in
     :func:`near_dedup_corpus` (e.g. the cross-shard job's pair table).
     """
-    import ray.data
-
     from .joins import bloom_anti_join
 
     if pairs_ds is None:
@@ -927,20 +928,14 @@ def _bucketed_signatures(docs_ds, *, num_perm, num_bands, text_col,
     """Shared LSH scaffold: MinHash signatures exploded to (id, band,
     band_hash, signature) rows — consumed by both the signature-verify
     and the exact-Jaccard pair pipelines."""
-    return docs_ds.map_batches(
-        MinHashSignatures,
-        fn_constructor_kwargs=dict(
-            num_perm=num_perm, seed=seed, text_col=text_col, id_col=id_col,
-            num_bands=num_bands,
-        ),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
+    return map_kernel(
+        docs_ds, MinHashSignatures, num_perm=num_perm, seed=seed,
+        text_col=text_col, id_col=id_col, num_bands=num_bands,
     )
 
 
 def jaccard_verified_pairs(
     docs_ds,
-    doc_texts: dict | None = None,
     *,
     threshold: float = 0.5,
     num_perm: int = 128,
@@ -953,21 +948,14 @@ def jaccard_verified_pairs(
     classic candidate→verify dedup pipeline: approximate recall from the
     bands, exact precision from the verify).
 
-    Two verify shapes, identical output:
-
-    - ``doc_texts=None`` (production path, the default): the distinct
-      candidate pairs are HASH-JOINED back to the documents table by id
-      (two ``Dataset.join`` s with cluster-scaled partitions) — nothing
-      corpus-sized touches the driver, so the path holds at 100 TB.
-    - ``doc_texts`` ({id: text}): small-side broadcast for the verify
-      (one ``ray.put``, read per task) — the fast path when the corpus
-      fits a broadcast.
+    The distinct candidate pairs are HASH-JOINED back to the documents
+    table by id (two ``Dataset.join`` s with cluster-scaled partitions)
+    — nothing corpus-sized touches the driver, so the path holds at
+    100 TB.
 
     Emits ``jaccard_permille`` = (1000*|A∩B|)//|A∪B| over word-3-gram
     shingle sets; shingle arrays are memoized per verify batch (pairs
     arrive bucket-clustered, so hot docs repeat within a batch)."""
-    import ray
-
     sigs = _bucketed_signatures(
         docs_ds, num_perm=num_perm, num_bands=num_bands, text_col=text_col,
         id_col=id_col, seed=seed,
@@ -997,51 +985,36 @@ def jaccard_verified_pairs(
     cands = exchange(sigs, ["band", "band_hash"], part_candidates)
     distinct = distinct_pairs(cands, "one", how="max")
 
-    if doc_texts is not None:
-        # broadcast fast path: attach texts from the ray.put'd dict
-        texts_ref = ray.put(doc_texts)
+    # two hash joins back to the documents table — candidates are tiny
+    # relative to the corpus, so each join ships only the matching
+    # document rows; partitions scale with the cluster (~cpus/4
+    # aggregator actors, see revenue_by_nation)
+    num_partitions = max(2, cluster_cpus() // 4)
 
-        def attach(batch: pa.Table) -> pa.Table:
-            texts = ray.get(texts_ref)
-            ta = [texts[i] for i in batch.column("id_a").to_pylist()]
-            tb = [texts[i] for i in batch.column("id_b").to_pylist()]
-            batch = batch.append_column(
-                "__text_a", pa.array(ta, pa.string())
+    def renamed(id_name: str, text_name: str):
+        def proj(batch: pa.Table) -> pa.Table:
+            return pa.table(
+                {
+                    id_name: batch.column(id_col),
+                    text_name: batch.column(text_col),
+                }
             )
-            return batch.append_column("__text_b", pa.array(tb, pa.string()))
 
-        paired = distinct.map_batches(attach, batch_format="pyarrow")
-    else:
-        # production path: two hash joins back to the documents table —
-        # candidates are tiny relative to the corpus, so each join ships
-        # only the matching document rows; partitions scale with the
-        # cluster (~cpus/4 aggregator actors, see revenue_by_nation)
-        num_partitions = max(2, cluster_cpus() // 4)
+        return docs_ds.map_batches(proj, batch_format="pyarrow")
 
-        def renamed(id_name: str, text_name: str):
-            def proj(batch: pa.Table) -> pa.Table:
-                return pa.table(
-                    {
-                        id_name: batch.column(id_col),
-                        text_name: batch.column(text_col),
-                    }
-                )
-
-            return docs_ds.map_batches(proj, batch_format="pyarrow")
-
-        paired = distinct.join(
-            renamed("__jid_a", "__text_a"),
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("id_a",),
-            right_on=("__jid_a",),
-        ).join(
-            renamed("__jid_b", "__text_b"),
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("id_b",),
-            right_on=("__jid_b",),
-        )
+    paired = distinct.join(
+        renamed("__jid_a", "__text_a"),
+        join_type="inner",
+        num_partitions=num_partitions,
+        on=("id_a",),
+        right_on=("__jid_a",),
+    ).join(
+        renamed("__jid_b", "__text_b"),
+        join_type="inner",
+        num_partitions=num_partitions,
+        on=("id_b",),
+        right_on=("__jid_b",),
+    )
 
     def verify(batch: pa.Table) -> pa.Table:
         from ..functions.dedup import shingles
@@ -1502,9 +1475,10 @@ def auto_num_planes(corpus_size: int, target_bucket: int = 64,
 
 
 class LSHBucketer:
-    """Random-hyperplane LSH with L tables of P planes each (actor holds
-    the projection matrices). A vector lands in L buckets; a pair at angle
-    θ collides in at least one table with prob 1-(1-(1-θ/π)^P)^L —
+    """Random-hyperplane LSH with L tables of P planes each (the kernel
+    holds the projection matrices, built once per worker process by
+    :func:`.extract.map_kernel`). A vector lands in L buckets; a pair at
+    angle θ collides in at least one table with prob 1-(1-(1-θ/π)^P)^L —
     recall/precision is tuned with (P, L). Multi-table = the scale path
     for approximate cosine search and near-dup. Size P with
     :func:`auto_num_planes` so buckets stay bounded as the corpus grows.
@@ -1768,9 +1742,9 @@ def embedding_near_dup_pairs(
     corpus_size: int | None = None,
 ):
     """Embedding-cosine near-dup, the approximate SCALE path: multi-table
-    hyperplane LSH bucketing (actor pool) → in-bucket pairwise cosine ≥
-    threshold → distinct pairs across tables. (num_planes, num_tables)
-    set the recall/cost point.
+    hyperplane LSH bucketing (a ``map_kernel`` task stage) → in-bucket
+    pairwise cosine ≥ threshold → distinct pairs across tables.
+    (num_planes, num_tables) set the recall/cost point.
 
     ``num_planes=None`` (default) auto-scales with the corpus via
     :func:`auto_num_planes`: from ``corpus_size`` if the caller already
@@ -1835,14 +1809,9 @@ def embedding_near_dup_pairs(
             )
         return pd.concat(frames, ignore_index=True)
 
-    bucketed = emb_ds.map_batches(
-        LSHBucketer,
-        fn_constructor_kwargs=dict(
-            dim=dim, num_planes=num_planes, num_tables=num_tables,
-            id_col=id_col,
-        ),
-        batch_format="pyarrow",
-        concurrency=(1, 4),
+    bucketed = map_kernel(
+        emb_ds, LSHBucketer, dim=dim, num_planes=num_planes,
+        num_tables=num_tables, id_col=id_col,
     )
     pairs = exchange(bucketed, ["table", "bucket"], bucket_pairs)
     return distinct_pairs(pairs, "cosine", how="max")
@@ -4291,12 +4260,13 @@ def dup_span_scrub(
 
 
 class DuckDBBatchSQL:
-    """Actor that runs ONE row-local DuckDB SQL statement over every
+    """Kernel that runs ONE row-local DuckDB SQL statement over every
     Arrow batch (registered as the view ``batch``): an escape hatch
     that pushes arbitrary SQL projections / filters / scalar functions
     into the distributed map without writing a kernel. The connection
-    is opened once per actor (``__init__``), each call is zero-copy
-    Arrow in / Arrow out.
+    is opened once per worker process (``__init__``, built by
+    :func:`.extract.map_kernel`), each call is zero-copy Arrow in /
+    Arrow out.
 
     ONLY row-local statements are sound: an aggregate or window in the
     statement sees one BATCH, not the dataset — use the engine's
@@ -4317,21 +4287,13 @@ class DuckDBBatchSQL:
             self._con.unregister("batch")
 
 
-def sql_map_batches(ds, sql: str, *, concurrency=(1, 8),
-                    batch_size: int | None = None):
+def sql_map_batches(ds, sql: str, *, batch_size: int | None = None):
     """Apply a row-local DuckDB SQL statement (``... FROM batch``) to
-    every batch of ``ds`` via a :class:`DuckDBBatchSQL` actor pool.
+    every batch of ``ds`` through :class:`DuckDBBatchSQL` tasks.
     Because the statement is row-local, the distributed result equals
     running the same statement over the whole table on one node — which
     is exactly what the oracle gate checks."""
-    kwargs = dict(
-        fn_constructor_kwargs=dict(sql=sql),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
-    if batch_size is not None:
-        kwargs["batch_size"] = batch_size
-    return ds.map_batches(DuckDBBatchSQL, **kwargs)
+    return map_kernel(ds, DuckDBBatchSQL, batch_size=batch_size, sql=sql)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..state.ner import DictionaryNER
-from .extract import map_kernel
 
 
 class EntityTagger:
@@ -190,11 +189,3 @@ class FusedExtractorWithEntities:
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.tag(self.extract(batch))
 
-
-def tag_entities(triples_ds, *, batch_size: int = 1024,
-                 backend: str = "dictionary"):
-    """Attach entity columns with Ray Data tasks (NER state per worker
-    process, see stages/extract.py:map_kernel); ``backend`` selects the
-    mention detector (--ent_extractor analogue)."""
-    return map_kernel(triples_ds, EntityTagger, batch_size=batch_size,
-                      backend=backend)

@@ -1,30 +1,29 @@
 """The model stages: conjunction split + OIE extraction.
 
-Two deployment shapes, same kernels:
+:class:`FusedExtractor` is the extraction kernel. Because every split of
+a sentence is produced inside the same batch iteration, per-original-
+sentence dedup + top-k (/root/reference/model.py:595-634,
+metric.py:435-438) complete *in-stage* with zero shuffle: the
+reference's corpus-wide ``all_predictions`` accumulator (model.py:609,
+its scalability wall) disappears entirely. Its per-sentence body,
+:meth:`FusedExtractor.extract_splits`, is the one definition of split →
+label → decode → dedup → top-k; :class:`SplitExtractor` runs the same
+body for the CLI and emits one row per split for its writers.
 
-1. :class:`ConjSplitter` / :class:`OIEExtractor` — the staged pipeline
-   (sentences → split_sentences → triples). Mirrors the reference's
-   splitpredict flow (/root/reference/run.py:161-243) with the driver-side
-   ``mapping``/``conj_word_mapping`` dicts replaced by carried columns
-   (SURVEY.md J1/J2).
+Two narrower kernels remain. :class:`ConjSplitter` is split-only
+(``predict --task conj``, the ``q_conj_splits*`` queries).
+:class:`OIEExtractor` labels pre-split rows without dedup; with
+``stages/group.py:_dedup_topk_group`` it is the reference-shaped
+splitpredict (/root/reference/run.py:161-243, the driver-side
+``mapping``/``conj_word_mapping`` dicts replaced by carried columns,
+SURVEY.md J1/J2) that tests compare the fused kernel against.
 
-2. :class:`FusedExtractor` — the scale path. Because every split of a
-   sentence is produced inside the same batch iteration, per-original-
-   sentence dedup + top-k (/root/reference/model.py:595-634,
-   metric.py:435-438) complete *in-stage* with zero shuffle: the
-   reference's corpus-wide ``all_predictions`` accumulator
-   (model.py:609, its scalability wall) disappears entirely. Its
-   per-sentence body, :meth:`FusedExtractor.extract_splits`, is the one
-   definition of split → label → decode → dedup → top-k;
-   :class:`SplitExtractor` runs the same body for the CLI and emits one
-   row per split for its writers.
-
-All are kernel classes run as Ray Data tasks through :func:`map_kernel`:
-labeler state is built once per worker process per pipeline in
-``__init__`` (the slot where a ``TorchGridLabeler`` would load BERT
-weights, the reference's run.py:46-51), and the task pool's worker
-processes are reused across executions instead of an actor pool being
-spawned for each one.
+:func:`map_kernel` is the package's one host for a kernel class: it
+runs the class as Ray Data tasks, building its state once per worker
+process per call in ``__init__`` (the slot where a ``TorchGridLabeler``
+would load BERT weights, the reference's run.py:46-51), and the task
+pool's worker processes are reused across executions instead of an
+actor pool being spawned for each one.
 """
 
 from __future__ import annotations
@@ -45,8 +44,9 @@ from ..state.labeler import DeterministicLabeler, make_labeler
 
 _SENT_KEY_COLS = ("repo", "path", "commit", "content_sha256", "sent_id")
 
-# kernels of the last few map_kernel calls that ran in this process (a
-# staged plan runs ConjSplitter and OIEExtractor side by side). It lives
+# kernels of the last few map_kernel calls that ran in this process (one
+# plan may chain kernel stages, e.g. resize_images after decode_media,
+# and a worker runs the tasks of both). It lives
 # at module level because a Ray task's function is unpickled afresh for
 # every task: only the worker process's imported module outlasts a task,
 # and kernel_fn's closure reaches it through _cached_kernel, which
@@ -108,7 +108,11 @@ def _split_sentence_rows(labeler, sentence: str, with_indices: bool = False):
 
 
 class ConjSplitter:
-    """sentences → split_sentences (SPLIT_SENTENCES schema)."""
+    """sentences → split_sentences (SPLIT_SENTENCES schema).
+
+    The split-only kernel: ``predict --task conj`` and the
+    ``q_conj_splits*`` queries need each split as a row, with no OIE
+    labeling, which :class:`FusedExtractor` never emits."""
 
     def __init__(self, seed: int = 777, labeler_spec: dict | None = None):
         self.labeler = (make_labeler(labeler_spec) if labeler_spec
@@ -152,7 +156,11 @@ class OIEExtractor:
 
     Emits every valid extraction with its (split_id, depth) so a grouped
     dedup stage can reproduce the reference's first-wins order even when
-    splits of one sentence land in different blocks (stages/group.py)."""
+    splits of one sentence land in different blocks (stages/group.py).
+    No pipeline runs it: with :class:`ConjSplitter` and
+    ``group._dedup_topk_group`` it is the stage-by-stage reference that
+    the benchmark's serial replay and ``tests/test_cli.py`` compare the
+    fused kernels against."""
 
     def __init__(self, seed: int = 777, no_lt: bool = False,
                  labeler_spec: dict | None = None):

@@ -1,15 +1,18 @@
 """Grouped per-sentence dedup + top-k (A1/A3) for detached inputs.
 
-The fused flagship path and the CLI never need this (splits stay
+The flagship path and the CLI never need this (splits stay
 row-co-located in stages/extract.py, and the CLI's ``--split_fp`` blocks
-enter its kernel as one row each). This stage exists for the staged
-pipeline (``fused=False``): a coarse exchange on the original-sentence
+enter its kernel as one row each). :func:`dedup_topk_grouped` merges
+prediction sets that arrive detached, e.g. a union of two prediction
+files (COVERAGE.md J5): a coarse exchange on the original-sentence
 identity, then a per-group kernel that sorts by (split_id, depth) — Ray
 gives no arrival-order guarantee, and the reference's dedup is
 first-wins in encounter order (model.py:595-634) — before exact dedup
-and stable top-k (metric.py:435-438).
+and stable top-k (metric.py:435-438). :func:`_dedup_topk_group` is also
+the per-sentence step of the stage-by-stage reference (ConjSplitter →
+OIEExtractor → this) that the benchmark's serial replay and the tests
+compare the fused kernels against.
 """
-
 from __future__ import annotations
 
 import pandas as pd

@@ -1,5 +1,5 @@
 """Multimodal columns: opaque binary payloads + typed metadata, with
-decode / feature-extract / resize / frame-sample as actor-pool stages.
+decode / feature-extract / resize / frame-sample as kernel stages.
 
 Three backends:
 
@@ -17,9 +17,10 @@ Three backends:
   built over the stdlib codecs (tests/test_dataops.py), so dropping in
   the actual libraries exercises already-tested code.
 
-Everything Ray-side (small batches for large payloads, actor pools with
-per-actor codec state, binary columns kept in Arrow) is shared by all
-backends.
+Everything Ray-side (small batches for large payloads, kernel classes
+run as Ray Data tasks through :func:`.extract.map_kernel` with codec
+state built once per worker process, binary columns kept in Arrow) is
+shared by all backends.
 
 Schema convention:
     media(id:int64, kind:string{image,audio,video}, payload:binary,
@@ -34,6 +35,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import codecs
+from .extract import map_kernel
 
 
 def _import_pil():
@@ -132,7 +134,7 @@ def synthetic_real_media_table(n: int, seed: int = 42) -> pa.Table:
 
 
 class MediaDecoder:
-    """Actor: codec state in __init__, per-batch decode in __call__.
+    """Kernel: codec state in __init__, per-batch decode in __call__.
 
     ``backend='stdlib'`` REALLY decodes (PNG/WAV/FCV1 — see module
     docstring); ``backend='fake'`` derives deterministic features from
@@ -249,7 +251,7 @@ class MediaDecoder:
 
 
 class FrameSampler:
-    """Actor: sample K frames per video payload — one row in, K rows out
+    """Kernel: sample K frames per video payload — one row in, K rows out
     (flat-map shape). 'stdlib' decodes the FCV1 container and emits real
     re-encoded PNG frames (uniform sampling); 'fake' slices payload
     bytes."""
@@ -315,38 +317,27 @@ class FrameSampler:
         )
 
 
-def decode_media(media_ds, *, backend: str = "fake", batch_size: int = 64,
-                 concurrency=(1, 8)):
+def decode_media(media_ds, *, backend: str = "fake", batch_size: int = 64):
     """Large binary payloads → SMALL batches (the guide's memory rule)."""
-    return media_ds.map_batches(
-        MediaDecoder,
-        fn_constructor_kwargs=dict(backend=backend),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_kernel(media_ds, MediaDecoder, batch_size=batch_size,
+                      backend=backend)
 
 
 def sample_frames(media_ds, *, num_frames: int = 4, backend: str = "fake",
-                  batch_size: int = 32, concurrency=(1, 4)):
+                  batch_size: int = 32):
     video = media_ds.filter(expr="kind == 'video'")
-    return video.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs=dict(num_frames=num_frames, backend=backend),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_kernel(video, FrameSampler, batch_size=batch_size,
+                      num_frames=num_frames, backend=backend)
 
 
 class ImageResizer:
-    """Actor: resize image payloads to (out_h, out_w) and re-encode.
+    """Kernel: resize image payloads to (out_h, out_w) and re-encode.
 
     ``backend='stdlib'`` REALLY resizes: PNG decode
     (functions/codecs.py:read_png) → vectorized nearest-neighbor index
     gather → PNG encode; ``backend='fake'`` emits a deterministic
     payload of the right nominal size (sha256-seeded) so the Ray-side
-    plumbing (schema, batch sizing, actor lifecycle) is exercised
+    plumbing (schema, batch sizing, kernel lifecycle) is exercised
     without a codec; ``backend='real'`` runs the PIL adapter
     (import-gated). Non-image rows pass through untouched
     (resize is a per-kind stage, same contract as FrameSampler's video
@@ -415,16 +406,8 @@ class ImageResizer:
 
 
 def resize_images(media_ds, *, out_h: int = 16, out_w: int = 16,
-                  backend: str = "fake", batch_size: int = 32,
-                  concurrency=(1, 4)):
+                  backend: str = "fake", batch_size: int = 32):
     """Large binary payloads → SMALL batches (the guide's memory rule);
     output schema identical to the input, payload replaced."""
-    return media_ds.map_batches(
-        ImageResizer,
-        fn_constructor_kwargs=dict(
-            out_h=out_h, out_w=out_w, backend=backend
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_kernel(media_ds, ImageResizer, batch_size=batch_size,
+                      out_h=out_h, out_w=out_w, backend=backend)

@@ -103,8 +103,9 @@ class WordpieceCounter:
     the reference's <=100-words AND <512-wordpieces gate
     (data.py:284-285) as int64 0/1.
 
-    Callable-class actor: the vocab dict (30k entries for a real
-    vocab.txt) loads once per actor in ``__init__``, never per batch."""
+    A kernel class run through :func:`.extract.map_kernel`: the vocab
+    dict (30k entries for a real vocab.txt) loads once per worker process
+    in ``__init__``, never per batch."""
 
     def __init__(self, vocab=None, vocab_path=None,
                  sentence_col: str = "sentence"):
@@ -132,14 +133,11 @@ class WordpieceCounter:
 
 def with_wordpiece_counts(sentences_ds, *, vocab=None, vocab_path=None,
                           sentence_col: str = "sentence",
-                          batch_size: int = 1024, concurrency=(1, 4)):
+                          batch_size: int = 1024):
     """Attach the O4 wordpiece-count columns to any sentence Dataset."""
-    return sentences_ds.map_batches(
-        WordpieceCounter,
-        fn_constructor_kwargs=dict(
-            vocab=vocab, vocab_path=vocab_path, sentence_col=sentence_col
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    from .extract import map_kernel
+
+    return map_kernel(
+        sentences_ds, WordpieceCounter, batch_size=batch_size, vocab=vocab,
+        vocab_path=vocab_path, sentence_col=sentence_col,
     )

@@ -542,9 +542,10 @@ class GridLabeler:
 
 
 def make_labeler(spec=None):
-    """Labeler factory for actor constructors: ``spec`` is a plain
-    picklable dict shipped through ``fn_constructor_kwargs``, resolved
-    once per actor in ``__init__``.
+    """Labeler factory for kernel constructors: ``spec`` is a plain
+    picklable dict passed as a ``map_kernel`` constructor keyword
+    (stages/extract.py), resolved once per worker process in the
+    kernel's ``__init__``.
 
     - ``None`` / ``{"kind": "deterministic", "seed": 777}`` →
       :class:`DeterministicLabeler` (the surrogate);

@@ -1,4 +1,4 @@
-"""Dictionary NER tagger + entity linker (actor-pool state).
+"""Dictionary NER tagger + entity linker (per-worker kernel state).
 
 The reference's mention detector is a Flair/spaCy tagger held as module
 state (/root/reference/data.py:28,34-74,138-169). Its *contract* — spans
@@ -178,7 +178,7 @@ class DictionaryNER:
         # space-free word needs that word as its key's first " "-token:
         # find_mentions skips every other space-free word before any join
         self._first_words = {k.split(" ")[0] for k in self.alias_dict}
-        # canonical-id embeddings computed once (actor __init__ amortization)
+        # canonical-id embeddings computed once per worker process
         self._id_vecs = {
             cid: _hash_vector(cid)
             for cands in self.alias_dict.values()
@@ -385,7 +385,7 @@ class FlairNER(SpanModelNER):
                 "use --ent_extractor dictionary|capitalized, or pass a "
                 "fake pipeline for tests"
             ) from e
-        tagger = SequenceTagger.load(model)  # once per actor __init__
+        tagger = SequenceTagger.load(model)  # once per worker process
 
         def pipe(text: str):
             s = Sentence(text, use_tokenizer=False)
@@ -416,7 +416,7 @@ class SpacyNER(SpanModelNER):
                 "--ent_extractor dictionary|capitalized, or pass a fake "
                 "pipeline for tests"
             ) from e
-        nlp = spacy.load(model)  # once per actor __init__
+        nlp = spacy.load(model)  # once per worker process
 
         def pipe(text: str):
             doc = nlp(text)

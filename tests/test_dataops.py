@@ -337,28 +337,25 @@ def test_s7_readers(tmp_path, ray_session):
     assert rows[0]["rel"] == "founded" and rows[0]["confidence"] == 0.7
 
 
-def test_entity_backend_pluggable(ray_session):
+def test_entity_backend_pluggable():
     import pyarrow as pa
-    import ray.data
 
-    from openie_with_entities_ray.stages.entity import tag_entities
+    from openie_with_entities_ray.stages.entity import EntityTagger
 
-    triples = ray.data.from_arrow(
-        pa.table(
-            {
-                "arg1": ["Unknown Startup"],
-                "rel": ["hired"],
-                "arg2": ["Some Person"],
-                "orig_sentence": ["Unknown Startup hired Some Person ."],
-                "confidence": [0.9],
-            }
-        )
+    triples = pa.table(
+        {
+            "arg1": ["Unknown Startup"],
+            "rel": ["hired"],
+            "arg2": ["Some Person"],
+            "orig_sentence": ["Unknown Startup hired Some Person ."],
+            "confidence": [0.9],
+        }
     )
     # dictionary backend knows neither surface
-    d = tag_entities(triples).take_all()[0]
+    d = EntityTagger()(triples).to_pylist()[0]
     assert d["subj_ents"] == []
     # capitalized-run backend tags both
-    c = tag_entities(triples, backend="capitalized").take_all()[0]
+    c = EntityTagger(backend="capitalized")(triples).to_pylist()[0]
     assert len(c["subj_ents"]) == 1 and len(c["obj_ents"]) == 1
     assert c["subj_types"] == ["MISC"]
 
@@ -479,31 +476,35 @@ def test_multimodal_stdlib_backend(ray_session):
 
 
 def test_jaccard_join_path_matches_broadcast(ray_session):
-    """The production id-join verify and the doc_texts broadcast verify
-    must produce identical pair sets — including with a non-default id
-    column name (regression: MinHashSignatures used to hardcode
-    'doc_id', breaking any other id_col)."""
+    """The id-join verify's pairs carry the exact Jaccard of their texts
+    (functions/dedup.py:jaccard, computed serially here), all at or above
+    the threshold — including with a non-default id column name
+    (regression: MinHashSignatures used to hardcode 'doc_id', breaking
+    any other id_col)."""
+    import math
+
     import pyarrow as pa
     import ray.data
 
+    from openie_with_entities_ray.functions.dedup import jaccard
     from openie_with_entities_ray.stages.dataops import jaccard_verified_pairs
 
     texts = [TEXT_A, TEXT_B, TEXT_C, TEXT_A, "tiny words here",
              TEXT_B + " extra", TEXT_C + " tail"]
     ids = list(range(10, 10 + len(texts)))
+    by_id = dict(zip(ids, texts))
 
-    def pairs(**kwargs):
-        ds = ray.data.from_arrow(
-            pa.table({"item_id": ids, "body": texts})
-        )
-        rows = jaccard_verified_pairs(
-            ds, threshold=0.5, id_col="item_id", text_col="body", **kwargs
-        ).take_all()
-        return {(r["id_a"], r["id_b"]): r["jaccard_permille"] for r in rows}
-
-    joined = pairs()  # production path: no driver-built dict
-    broadcast = pairs(doc_texts=dict(zip(ids, texts)))
-    assert joined == broadcast
+    ds = ray.data.from_arrow(pa.table({"item_id": ids, "body": texts}))
+    rows = jaccard_verified_pairs(
+        ds, threshold=0.5, id_col="item_id", text_col="body"
+    ).take_all()
+    joined = {(r["id_a"], r["id_b"]): r["jaccard_permille"] for r in rows}
+    for (a, b), permille in joined.items():
+        j = jaccard(by_id[a], by_id[b])
+        assert j >= 0.5, (a, b, j)
+        # jaccard_permille = floor(1000 * |A∩B| / |A∪B|); the epsilon
+        # absorbs the float quotient's rounding at whole permilles
+        assert permille == math.floor(1000 * j + 1e-9), (a, b, j, permille)
     assert (10, 13) in joined  # exact dup pair survives the verify
     assert joined[(10, 13)] == 1000
 

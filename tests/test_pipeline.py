@@ -8,6 +8,9 @@ must produce the same output as an uninterrupted one.
 """
 
 import collections
+import glob
+import os
+import re
 
 import pyarrow.parquet as pq
 import pytest
@@ -22,6 +25,7 @@ from openie_with_entities_ray.sources.source_docs import (
 
 N_DOCS = 150
 SEED = 42
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +73,32 @@ def test_parity_vs_oracle(engine_triples):
     assert gold_set == pred_set
 
 
-def test_staged_pipeline_matches_fused(ray_session, engine_triples):
-    from openie_with_entities_ray.pipelines.flagship import extract_triples
+def test_staged_pipeline_matches_fused(engine_triples):
+    """The fused kernel equals the stage-by-stage reference run serially
+    in this process: explode → ConjSplitter → OIEExtractor → per-sentence
+    grouped dedup/top-k (the composition of perfbench/replay.py)."""
+    from openie_with_entities_ray.sources.source_docs import (
+        synthetic_source_docs_table,
+    )
+    from openie_with_entities_ray.stages.extract import (
+        ConjSplitter,
+        OIEExtractor,
+    )
+    from openie_with_entities_ray.stages.group import (
+        GROUP_KEY,
+        _dedup_topk_group,
+    )
+    from openie_with_entities_ray.stages.sentences import _explode_batch
 
-    docs = synthetic_source_docs(N_DOCS, seed=SEED)
-    staged = extract_triples(docs, fused=False).take_all()
+    sents = _explode_batch(synthetic_source_docs_table(N_DOCS, seed=SEED))
+    splits = ConjSplitter()(sents).drop(["conj_words", "split_indices"])
+    raw = OIEExtractor()(splits).to_pandas()
+    staged = [
+        row
+        for _, group in raw.groupby(GROUP_KEY, sort=False)
+        for row in _dedup_topk_group(group, 5).to_dict("records")
+    ]
+    assert staged
     key = lambda r: (
         r["repo"], r["path"], r["sent_id"], r["arg1"], r["rel"], r["arg2"],
         r["confidence"],
@@ -496,9 +521,11 @@ def test_entity_pipeline_twice_matches_serial_with_fresh_kernels(
 
 
 def test_kernel_plans_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
-    """The extraction and entity kernels run as Ray Data tasks: no plan of
-    the flagship (fused, staged, with entities) or of the CLI's
-    splitpredict starts an actor pool."""
+    """Every kernel class runs as Ray Data tasks: no plan of the flagship
+    (with and without entities), of the CLI's splitpredict and conj
+    predict, or of the stages that once ran actor pools (wordpiece
+    counts, row-local SQL, media decode/frames/resize, MinHash
+    signatures, embedding LSH) starts an actor pool."""
     from ray.data._internal.execution.operators.actor_pool_map_operator import (
         ActorPoolMapOperator,
     )
@@ -506,10 +533,27 @@ def test_kernel_plans_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
         StreamingExecutor,
     )
 
+    import pyarrow as pa
+    import ray.data
+
     from openie_with_entities_ray import cli
     from openie_with_entities_ray.pipelines.flagship import (
         extract_triples,
         extract_triples_with_entities,
+    )
+    from openie_with_entities_ray.stages.dataops import (
+        embedding_near_dup_pairs,
+        minhash_candidate_pairs,
+        sql_map_batches,
+    )
+    from openie_with_entities_ray.stages.multimodal import (
+        decode_media,
+        resize_images,
+        sample_frames,
+        synthetic_media_table,
+    )
+    from openie_with_entities_ray.stages.sentences import (
+        with_wordpiece_counts,
     )
 
     operators = []
@@ -526,9 +570,7 @@ def test_kernel_plans_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
     docs = synthetic_source_docs(12, seed=SEED)
     assert extract_triples(docs).take_all()
-    assert extract_triples(docs, fused=False).take_all()
     assert extract_triples_with_entities(docs).take_all()
-    assert extract_triples_with_entities(docs, fused=False).take_all()
     inp = tmp_path / "sentences.txt"
     inp.write_text("Alice , Bob and Carol founded Acme Corp in New York .\n"
                    "Dave , the CEO of Globex , acquired Initech .\n")
@@ -537,15 +579,62 @@ def test_kernel_plans_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
          "--out", str(tmp_path / "out"), "--type", "labels"]
     ))
     assert (tmp_path / "out.labels").read_text().strip()
+    cli.run_predict(cli.build_parser().parse_args(
+        ["--mode", "predict", "--task", "conj", "--inp", str(inp),
+         "--out", str(tmp_path / "conj")]
+    ))
+    assert (tmp_path / "conj.conj").read_text().strip()
+
+    sents = ray.data.from_items([{"sentence": "Alice met Bob ."}])
+    assert with_wordpiece_counts(sents).take_all()
+    assert sql_map_batches(sents, "SELECT sentence FROM batch").take_all()
+    media = ray.data.from_arrow(synthetic_media_table(6))
+    assert decode_media(media).take_all()
+    assert sample_frames(media).take_all()
+    assert resize_images(media).take_all()
+    text = "the quick brown fox jumps over the lazy dog again"
+    docs = ray.data.from_items([{"doc_id": i, "text": text}
+                                for i in range(2)])
+    assert minhash_candidate_pairs(docs).take_all()
+    emb = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array([0, 1], pa.int64()),
+        "embedding": pa.array([[1.0, 0.0], [1.0, 0.0]],
+                              pa.list_(pa.float64())),
+    }))
+    assert embedding_near_dup_pairs(emb, dim=2, num_planes=2).take_all()
 
     names = " ".join(op.name for op in operators)
     for kernel in ("FusedExtractor", "FusedExtractorWithEntities",
-                   "ConjSplitter", "OIEExtractor", "EntityTagger",
-                   "SplitExtractor", "_LabelProjector"):
+                   "ConjSplitter", "SplitExtractor", "_LabelProjector",
+                   "WordpieceCounter", "DuckDBBatchSQL", "MediaDecoder",
+                   "FrameSampler", "ImageResizer", "MinHashSignatures",
+                   "LSHBucketer"):
         assert f"MapBatches({kernel})" in names, kernel
     pools = [op.name for op in operators
              if isinstance(op, ActorPoolMapOperator)]
     assert not pools, pools
+
+
+def test_kernel_classes_run_only_through_map_kernel():
+    """stages/extract.py:map_kernel is the one host for a kernel class:
+    no module of the package or the jobs builds an actor pool (a class
+    passed to ``map_batches`` with constructor arguments, a
+    ``concurrency=`` pool size or an ``ActorPoolStrategy``)."""
+    pool = re.compile(r"fn_constructor_kwargs|concurrency=|ActorPoolStrategy")
+    files = sorted(
+        glob.glob(os.path.join(ROOT, "openie_with_entities_ray", "**",
+                               "*.py"), recursive=True)
+        + glob.glob(os.path.join(ROOT, "jobs", "*.py"))
+    )
+    assert len(files) > 30
+    hits = []
+    for path in files:
+        with open(path, encoding="utf-8") as f:
+            for i, line in enumerate(f, 1):
+                if pool.search(line):
+                    rel = os.path.relpath(path, ROOT)
+                    hits.append(f"{rel}:{i}: {line.strip()}")
+    assert not hits, "\n".join(hits)
 
 
 def test_cli_splitpredict_plan_has_no_exchange(ray_session, monkeypatch,
