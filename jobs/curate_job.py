@@ -19,7 +19,10 @@ atomic tmp+rename manifests; a re-run skips every finished unit):
    stats. Embarrassingly parallel next to the data. With
    ``--benchmark <glob>`` the same scan also drops docs sharing any
    word n-gram with the eval set (dataops.decontaminate's rule, fused
-   — the gram set is built and ``ray.put`` ONCE per job).
+   — the gram set is built and ``ray.put`` ONCE per job). Its manifest
+   records the shard's path and stamp (``stages/graph.py:shard_lineage``);
+   a resume over a reordered list or a shard rewritten since refuses with
+   "resume mismatch" (``--no-resume`` rebuilds everything).
 2. ``keepers/part=<p>`` — global exact dedup at hash granularity: for
    each of the 16 sha256 hex prefixes, the min-doc_id keeper per
    distinct hash over ALL clean shards (parquet predicate pushdown on
@@ -276,7 +279,9 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
                max_punct_permille: int = 200,
                benchmark: str | None = None, decon_n: int = 5) -> dict:
     from openie_with_entities_ray.stages.graph import (
+        check_resume,
         completed_partitions,
+        shard_lineage,
         write_partition,
     )
 
@@ -310,7 +315,9 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
     done = completed_partitions(clean_dir) if resume else set()
     clean_written = 0
     for part, shard in enumerate(shards):
+        lineage = shard_lineage(str(shard))
         if part in done:
+            check_resume(clean_dir, part, lineage)
             continue
         write_partition(
             clean_shard(
@@ -321,7 +328,7 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
             ),
             clean_dir, part,
             extra_meta={
-                "input": str(shard),
+                **lineage,
                 "stage": "clean",
                 "benchmark": benchmark or "",
             },

@@ -10,10 +10,13 @@ Ray-Data-native splitpredict analogue (/root/reference/run.py:161-243):
           see stages/extract.py)
       → [groupby canonicalization / edge dedup / partitioned write]
 
-Everything is lazy/streaming; nothing materializes the corpus.
-``resumable_materialize`` runs the same explode → extractor → edges
-callables inside one task per run of an input row group, all pending
-shards in one execution.
+Everything is lazy/streaming; nothing materializes the corpus. The two
+graph writers run the same explode → extractor → edges body per docs
+batch (``_graph_batch``) inside their tasks, each in ONE Ray execution:
+``materialize_graph`` writes triples and edges from the extraction task
+and sends only the canonicalize partials through the nodes exchange;
+``resumable_materialize`` runs one task per run of an input row group,
+all pending shards together.
 """
 
 from __future__ import annotations
@@ -23,14 +26,16 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..stages.canonical import canonicalize_surfaces
+from ..stages import canonical
+from ..stages.canonical import canonicalize_surfaces, merge_partials
 from ..stages.extract import FusedExtractor, map_kernel
 from ..stages.graph import (
+    check_resume,
     clear_partition,
     commit_partition,
     completed_partitions,
     dedup_edges,
-    read_manifest,
+    shard_lineage,
     triples_to_edges,
     # resumable_materialize no longer calls it, but perfbench's tracer
     # patches ``flagship.write_partition`` by name (perfbench/session.py)
@@ -92,51 +97,99 @@ def build_graph(triples_ds, *, deduped: bool = True):
     return nodes, edges
 
 
+def _extractor(seed: int, with_entities: bool,
+               ent_backend: str = "dictionary"):
+    """The fused extraction kernel of the graph writers."""
+    if with_entities:
+        from ..stages.entity import FusedExtractorWithEntities
+
+        return FusedExtractorWithEntities(seed=seed, backend=ent_backend)
+    return FusedExtractor(seed=seed)
+
+
+def _graph_batch(extract, docs: pa.Table):
+    """One docs batch → (triples, edges): the per-batch body of both graph
+    writers, ``_GraphWriter`` and ``_EdgeUnitWriter``."""
+    triples = extract(_explode_batch(docs))
+    return triples, triples_to_edges(triples)
+
+
+class _GraphWriter:
+    """One ``DOCS_BATCH`` docs batch of :func:`materialize_graph`: its
+    triples → ``triples/<name>``, their edges → ``edges/<name>``, and
+    its ``canonical._partial_counts`` rows as the batch's output, the
+    rows the canonicalize exchange merges into nodes.
+
+    ``<name>`` is ``<token>-<task id>-<ordinal>.parquet``: the token is
+    minted once per call, the Ray task id stays the same on every retry
+    of one task, and the ordinal counts the task's batches in this
+    process. A task retried after its worker died rewrites its own files
+    instead of adding copies (Ray's Parquet datasink names files by write
+    uuid, task index and block index the same way). A batch without
+    triples writes no file."""
+
+    def __init__(self, out_dir: str, token: str, seed: int,
+                 with_entities: bool, ent_backend: str):
+        self.dirs = [os.path.join(out_dir, d) for d in ("triples", "edges")]
+        self.token = token
+        self.extract = _extractor(seed, with_entities, ent_backend)
+        self.task, self.ordinal = None, 0
+
+    def __call__(self, docs: pa.Table) -> pa.Table:
+        import ray
+
+        task = ray.get_runtime_context().get_task_id() or "driver"
+        if task != self.task:
+            self.task, self.ordinal = task, 0
+        name = f"{self.token}-{task}-{self.ordinal}.parquet"
+        self.ordinal += 1
+        triples, edges = _graph_batch(self.extract, docs)
+        if triples.num_rows:
+            for d, table in zip(self.dirs, (triples, edges)):
+                os.makedirs(d, exist_ok=True)
+                pq.write_table(table, os.path.join(d, name))
+        return canonical._partial_counts(triples)
+
+
 def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
                       with_entities: bool = True,
                       ent_backend: str = "dictionary"):
-    """End-to-end run: triples → Parquet once, then edges + nodes as two
-    cheap scans OF THAT PARQUET. Both sinks need the full triples table;
-    at 100 TB the scale-safe fan-out is durable storage (one streaming
-    write, column-pruned re-reads), not ``materialize()`` pinning the
-    whole table in the object store and spilling it. The triples Parquet
-    doubles as the pipeline's checkpoint output.
+    """End-to-end run: docs → ``triples/``, ``edges/`` and ``nodes/``
+    Parquet in ONE Ray execution.
+
+    Each ``DOCS_BATCH`` docs batch runs in one task (``_GraphWriter``):
+    it extracts the batch's triples and writes them and their edges
+    itself, then hands on only its ``_partial_counts`` rows, which feed
+    the canonicalize exchange (``merge`` → ``finalize`` → nodes write)
+    directly. The fan-out stays scale-safe without re-reading anything:
+    the full triples and edges tables go straight to storage from the
+    task that made them, and only the partials — O(distinct surfaces per
+    batch) rows — cross the exchange. Nothing pins the triples table in
+    the object store.
 
     Stale outputs from a previous (possibly crashed) run are DELETED
-    first: Ray's write_parquet appends fresh-UUID files, so without the
-    cleanup a re-run would read both generations of triples and silently
-    double-count (same rationale as stages/graph.py:write_partition)."""
+    first: every call names its files with a fresh token, so without the
+    cleanup a re-run would leave both generations side by side and a
+    reader would silently double-count (same rationale as
+    stages/graph.py:write_partition). A run that extracts no triples
+    writes no table and raises ``FileNotFoundError``."""
     import shutil
-
-    import ray.data
+    import uuid
 
     for sub in ("triples", "edges", "nodes"):
         path = os.path.join(out_dir, sub)
         if os.path.isdir(path):
             shutil.rmtree(path)
 
-    triples = (
-        extract_triples_with_entities(docs_ds, seed=seed,
-                                      ent_backend=ent_backend)
-        if with_entities
-        else extract_triples(docs_ds, seed=seed)
+    partials = map_kernel(
+        docs_ds, _GraphWriter, batch_size=DOCS_BATCH, out_dir=out_dir,
+        token=uuid.uuid4().hex, seed=seed, with_entities=with_entities,
+        ent_backend=ent_backend,
     )
-    triples.write_parquet(f"{out_dir}/triples")
-
-    edge_cols = [
-        "arg1", "arg2", "rel", "confidence", "repo", "path", "commit",
-        "sent_id",
-    ] + (["subj_ents", "obj_ents"] if with_entities else [])
-    tri = ray.data.read_parquet(f"{out_dir}/triples", columns=edge_cols)
-    tri.map_batches(
-        triples_to_edges, batch_format="pyarrow"
-    ).write_parquet(f"{out_dir}/edges")
-    node_cols = ["arg1", "arg2"] + (
-        ["subj_ents", "obj_ents"] if with_entities else []
-    )  # entity columns so nodes cover entity-substituted edge endpoints
-    canonicalize_surfaces(
-        ray.data.read_parquet(f"{out_dir}/triples", columns=node_cols)
-    ).write_parquet(f"{out_dir}/nodes")
+    merge_partials(partials).write_parquet(f"{out_dir}/nodes")
+    triples_dir = os.path.join(out_dir, "triples")
+    if not os.path.isdir(triples_dir):
+        raise FileNotFoundError(f"no triples extracted: {triples_dir}")
 
 
 # A row group splits into at most this many work units, each a run of
@@ -176,11 +229,8 @@ class _EdgeUnitWriter:
     ``(part, rows, busy_s)`` row per unit."""
 
     def __init__(self, edges_dir: str, seed: int, with_entities: bool):
-        from ..stages.entity import FusedExtractorWithEntities
-
         self.edges_dir = edges_dir
-        self.extract = (FusedExtractorWithEntities(seed=seed)
-                        if with_entities else FusedExtractor(seed=seed))
+        self.extract = _extractor(seed, with_entities)
 
     def __call__(self, units: pa.Table) -> pa.Table:
         import time
@@ -209,7 +259,7 @@ class _EdgeUnitWriter:
                 docs = pa.Table.from_batches([rb]).slice(
                     max(start - lo, 0), stop - max(start, lo)
                 )
-                edges = triples_to_edges(self.extract(_explode_batch(docs)))
+                _, edges = _graph_batch(self.extract, docs)
                 if edges.num_rows:
                     if writer is None:
                         os.makedirs(os.path.dirname(dest), exist_ok=True)
@@ -264,29 +314,16 @@ def resumable_materialize(
     """
     import ray.data
 
-    from ..memo import _path_stamp
-
     edges_dir = f"{out_dir}/edges"
     done = completed_partitions(edges_dir) if resume else set()
     pending, skipped = {}, []
     for part, shard_path in enumerate(input_shards):
-        shard_path = str(shard_path)
-        stamp = _path_stamp(shard_path)
-        stamp = stamp and list(stamp)  # as its JSON manifest reads back
+        lineage = shard_lineage(str(shard_path))
         if part in done:
-            recorded = read_manifest(edges_dir, part)
-            for key, now in (("input", shard_path), ("stamp", stamp)):
-                if recorded.get(key, now) != now:
-                    raise ValueError(
-                        f"resume mismatch: edges/part={part} was built "
-                        f"from {key} {recorded[key]!r} but "
-                        f"input_shards[{part}] has {now!r} — pass the "
-                        "original, unchanged shards, or resume=False to "
-                        "rebuild everything"
-                    )
+            check_resume(edges_dir, part, lineage)
             skipped.append(part)
             continue
-        pending[part] = {"input": shard_path, "stamp": stamp}
+        pending[part] = lineage
 
     def commit(part: int, rows: int, busy_s: float) -> dict:
         return commit_partition(edges_dir, part, {

@@ -286,7 +286,7 @@ words AS (
   SELECT r.doc_id, r.sent_id, t.word
   FROM rawwords r,
        unnest(string_split(
-         regexp_replace(r.word0, '([!-/:-@\[-`{{-~])',
+         regexp_replace(r.word0, '([!-/:-@\\[-`{{-~])',
                         chr(1) || '\\1' || chr(1), 'g'),
          chr(1))) AS t(word)
   WHERE t.word <> ''

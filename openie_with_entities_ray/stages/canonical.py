@@ -122,6 +122,19 @@ def canonicalize_surfaces(triples_ds, num_parts: int | None = None):
     def partial(batch: pa.Table) -> pa.Table:
         return _partial_counts(batch)
 
+    return merge_partials(
+        triples_ds.map_batches(partial, batch_format="pyarrow"),
+        num_parts=num_parts,
+    )
+
+
+def merge_partials(partials_ds, num_parts: int | None = None):
+    """:func:`_partial_counts` rows → nodes table: ``exchange`` on the
+    surface, ONE Arrow hash aggregate per part (``merge``), then node ids
+    (``finalize``). The partial rows come from :func:`canonicalize_surfaces`'
+    ``partial`` map or from the graph writer task of
+    ``pipelines/flagship.py:materialize_graph``."""
+
     def merge(g: pa.Table) -> pa.Table:
         out = g.group_by(
             ["surface_norm", "is_ent"], use_threads=False
@@ -130,8 +143,8 @@ def canonicalize_surfaces(triples_ds, num_parts: int | None = None):
             ["surface_norm", "is_ent", "surface_min", "n_mentions_sum"]
         ).rename_columns(["surface_norm", "is_ent", "surface", "n_mentions"])
 
-    agg = exchange(triples_ds, "surface_norm", merge, combine=partial,
-                   num_parts=num_parts, batch_format="pyarrow")
+    agg = exchange(partials_ds, "surface_norm", merge, num_parts=num_parts,
+                   batch_format="pyarrow")
 
     def finalize(batch: pa.Table) -> pa.Table:
         norms = batch.column("surface_norm").to_pylist()

@@ -3,20 +3,32 @@ manifest-tracked partitioned output.
 
 Replaces the reference's append-mode output files
 (/root/reference/model.py:697-701 — a crashed run leaves a partial,
-unresumable file) with idempotent per-partition Parquet + a manifest:
+unresumable file) with idempotent per-partition Parquet + a manifest.
+``flagship.resumable_materialize`` writes edges only, one partition per
+input shard:
 
     out_dir/
       edges/part=<k>/rg-<i>-<s>.parquet
-                                     (one partition per input shard,
-                                      one file per work unit that
+                                     (one file per work unit that
                                       yields edges: row group i's rows
-                                      from s on —
-                                      flagship.resumable_materialize
-                                      binds part k to input_shards[k])
+                                      from s on — part k is bound to
+                                      input_shards[k])
       edges/_manifests/part-<k>.json {"partition": k, "rows": n,
                                       "elapsed_s": ..., "input": shard,
                                       "stamp": [bytes, mtime_ns]}
-      nodes/...parquet
+
+``flagship.materialize_graph`` (one run, no manifests; a re-run deletes
+all three directories first) writes the whole graph:
+
+    out_dir/
+      triples/<token>-<task>-<j>.parquet
+                                     (one file per docs batch that
+                                      yields triples: the call's token,
+                                      the Ray task id and the batch's
+                                      ordinal in that task)
+      edges/<token>-<task>-<j>.parquet
+                                     (the same batch's edges)
+      nodes/...parquet               (canonicalize merge, Ray's writer)
 
 Resume = anti-join of existing manifests against the partition plan: a
 re-run processes only partitions whose manifest is missing, then yields
@@ -300,6 +312,33 @@ def read_manifest(out_dir: str, part: int) -> dict:
             return json.load(f)
     except (OSError, ValueError):
         return {}
+
+
+def shard_lineage(shard_path: str) -> dict:
+    """What a manifest records of the input shard it was built from: the
+    path and its ``memo._path_stamp`` (bytes, newest mtime), the stamp as
+    a list, as its JSON manifest reads back."""
+    from ..memo import _path_stamp
+
+    stamp = _path_stamp(shard_path)
+    return {"input": shard_path, "stamp": stamp and list(stamp)}
+
+
+def check_resume(out_dir: str, part: int, lineage: dict) -> None:
+    """Refuse to skip completed partition ``part`` when its manifest
+    records a different value for a key of ``lineage`` (see
+    :func:`shard_lineage`): a reordered shard list or a shard rewritten
+    since the manifest would otherwise skip the wrong rows. A key the
+    manifest lacks (one written before stamps existed) passes."""
+    recorded = read_manifest(out_dir, part)
+    for key, now in lineage.items():
+        if recorded.get(key, now) != now:
+            raise ValueError(
+                f"resume mismatch: {os.path.basename(out_dir)}/part={part} "
+                f"was built from {key} {recorded[key]!r} but shard {part} "
+                f"now has {now!r} — pass the original, unchanged shards, "
+                "or rebuild without resuming"
+            )
 
 
 def completed_partitions(out_dir: str) -> set:

@@ -607,6 +607,59 @@ def test_curate_job_end_to_end_and_resumable(tmp_path):
     assert rep2["curated_docs"] == 3
 
 
+def test_curate_job_resume_refuses_a_rewritten_shard(ray_session, tmp_path):
+    """The clean stage's manifest records its shard's path and stamp: a
+    resume after one shard was rewritten fails with "resume mismatch"
+    instead of keeping the old shard's rows; a manifest without a stamp
+    (written before stamps existed) still resumes on its path."""
+    import importlib.util
+    import json
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "curate_job", os.path.join(root, "jobs", "curate_job.py"))
+    curate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(curate)
+
+    def prose(tag):
+        return (f"the {tag} sat on the mat and the dog lay by the door "
+                f"while the sun was high in the sky today")
+
+    def write(path, ids, tags):
+        pq.write_table(pa.table({"doc_id": ids,
+                                 "text": [prose(t) for t in tags],
+                                 "lang": ["en"] * len(ids)}), path)
+
+    shards = [str(tmp_path / "s0.parquet"), str(tmp_path / "s1.parquet")]
+    write(shards[0], [1, 2], ["cat", "owl"])
+    write(shards[1], [3], ["fox"])
+    out = str(tmp_path / "curate")
+    assert curate.run_curate(shards, out)["curated_docs"] == 3
+    manifests = [tmp_path / "curate" / "clean" / "_manifests" /
+                 f"part-{k}.json" for k in (0, 1)]
+    for k, m in enumerate(manifests):
+        meta = json.loads(m.read_text())
+        assert meta["input"] == shards[k] and len(meta["stamp"]) == 2
+
+    write(shards[1], [3, 4], ["fox", "hen"])
+    with pytest.raises(ValueError, match="resume mismatch"):
+        curate.run_curate(shards, out)
+    with pytest.raises(ValueError, match="resume mismatch"):
+        curate.run_curate(list(reversed(shards)), out)
+
+    for m in manifests:
+        meta = json.loads(m.read_text())
+        del meta["stamp"]
+        m.write_text(json.dumps(meta))
+    assert curate.run_curate(shards, out)["clean_written"] == 0
+    rebuilt = curate.run_curate(shards, str(tmp_path / "fresh"))
+    assert rebuilt["curated_docs"] == 4
+
+
 def test_curate_job_benchmark_decontamination(tmp_path):
     """--benchmark drops docs sharing any word 5-gram with the eval
     shards during the clean stage; unrelated docs survive."""

@@ -377,6 +377,34 @@ def test_queries_deferred_imports_resolve():
     assert not missing, missing
 
 
+def test_sources_compile_without_warnings():
+    """Every module of the package, the jobs, the tools and bench.py
+    compiles with warnings as errors: an invalid string escape such as
+    ``"\\["`` is a SyntaxWarning today and a SyntaxError in a later
+    Python (write ``"\\\\["`` or a raw string)."""
+    import warnings
+
+    files = sorted(
+        glob.glob(os.path.join(ROOT, "openie_with_entities_ray", "**",
+                               "*.py"), recursive=True)
+        + glob.glob(os.path.join(ROOT, "jobs", "*.py"))
+        + glob.glob(os.path.join(ROOT, "tools", "*.py"))
+        + [os.path.join(ROOT, "bench.py")]
+    )
+    assert len(files) > 30
+    failed = []
+    for path in files:
+        with open(path, encoding="utf-8") as f:
+            src = f.read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                compile(src, path, "exec")
+            except (SyntaxError, Warning) as e:
+                failed.append(f"{os.path.relpath(path, ROOT)}: {e}")
+    assert not failed, "\n".join(failed)
+
+
 def test_resume_rejects_reordered_shard_list(ray_session, tmp_path):
     """A resumed run whose shard list disagrees with a completed
     manifest must fail loudly, not silently skip the wrong shard."""
@@ -679,3 +707,266 @@ def test_cli_splitpredict_plan_has_no_exchange(ray_session, monkeypatch,
                    "add_part"):
         assert banned not in names, (banned, plans)
     assert len(plans) <= 3, plans
+
+
+# --- materialize_graph: one execution, serial oracle, re-runs -----------
+
+GRAPH_DIRS = ("triples", "edges", "nodes")
+
+
+def _write_docs(tmp_path, n: int, copies: int = 1) -> list:
+    """``synthetic_source_docs_table(n)`` as Parquet: two files of its
+    halves, each written ``copies`` times (byte-identical copies)."""
+    from openie_with_entities_ray.sources.source_docs import (
+        synthetic_source_docs_table,
+    )
+
+    table = synthetic_source_docs_table(n, seed=SEED)
+    half = n // 2
+    paths = []
+    for i, part in enumerate((table.slice(0, half), table.slice(half))):
+        for c in range(copies):
+            path = tmp_path / f"docs-{i}-{c}.parquet"
+            pq.write_table(part, path)
+            paths.append(str(path))
+    return paths
+
+
+def _graph_oracle(paths, with_entities: bool) -> dict:
+    """The three tables without Ray, composed as perfbench/replay.py
+    composes them: ``_explode_batch`` → fused extractor →
+    ``triples_to_edges``, and ``_partial_counts`` over batches of the
+    triples merged by (surface_norm, is_ent) into summed mentions and the
+    minimum surface."""
+    import pyarrow as pa
+
+    from openie_with_entities_ray.stages.canonical import (
+        _partial_counts,
+        canonical_id,
+    )
+    from openie_with_entities_ray.stages.entity import (
+        FusedExtractorWithEntities,
+    )
+    from openie_with_entities_ray.stages.extract import FusedExtractor
+    from openie_with_entities_ray.stages.graph import triples_to_edges
+    from openie_with_entities_ray.stages.sentences import _explode_batch
+
+    docs = pa.concat_tables([pq.read_table(p) for p in paths])
+    kernel = (FusedExtractorWithEntities if with_entities
+              else FusedExtractor)(seed=777)
+    triples = kernel(_explode_batch(docs))
+    edges = triples_to_edges(triples)
+    counts, surface = collections.Counter(), {}
+    for start in range(0, triples.num_rows, 97):
+        part = _partial_counts(triples.slice(start, 97))
+        for norm, is_ent, s, n in zip(*(
+            part.column(c).to_pylist()
+            for c in ("surface_norm", "is_ent", "surface", "n_mentions")
+        )):
+            counts[(norm, is_ent)] += n
+            surface[(norm, is_ent)] = min(surface.get((norm, is_ent), s), s)
+    nodes = pa.table({
+        "node_id": [n if e else canonical_id(n) for n, e in counts],
+        "surface_norm": [n for n, _ in counts],
+        "surface": [surface[k] for k in counts],
+        "n_mentions": pa.array(list(counts.values()), pa.int64()),
+    })
+    return {"triples": triples, "edges": edges, "nodes": nodes}
+
+
+def _sorted_rows(tables) -> list:
+    """The rows of ``tables`` (columns by name) as sorted reprs."""
+    names = sorted(tables[0].column_names)
+    return sorted(repr(r) for t in tables
+                  for r in zip(*(t.column(n).to_pylist() for n in names)))
+
+
+def _graph_rows(out) -> tuple:
+    """Each output table of ``out`` as :func:`_sorted_rows`, and the files
+    it was read from."""
+    rows, files = {}, {}
+    for d in GRAPH_DIRS:
+        files[d] = sorted(glob.glob(os.path.join(str(out), d, "**",
+                                                 "*.parquet"),
+                                    recursive=True))
+        assert files[d], f"no {d} files"
+        rows[d] = _sorted_rows([pq.read_table(f) for f in files[d]])
+    return rows, files
+
+
+def _oracle_rows(oracle: dict) -> dict:
+    return {d: _sorted_rows([t]) for d, t in oracle.items()}
+
+
+def _count_executions(monkeypatch) -> list:
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    calls = []
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, dag, *args, **kwargs):
+        calls.append(dag.name)
+        return real_execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return calls
+
+
+@pytest.mark.parametrize("with_entities", [True, False])
+def test_materialize_graph_one_execution_matches_serial_oracle(
+    ray_session, monkeypatch, tmp_path, with_entities
+):
+    """triples, edges and nodes equal the serial composition of the
+    kernels, row for row, and the whole call is ONE streaming execution
+    (the extraction task writes triples and edges; its partials feed the
+    nodes exchange). A second call into the same ``out_dir`` replaces
+    the first run's output instead of adding to it."""
+    import ray.data
+
+    from openie_with_entities_ray.pipelines.flagship import (
+        materialize_graph,
+    )
+
+    paths = _write_docs(tmp_path, 80)
+    want = _oracle_rows(_graph_oracle(paths, with_entities))
+    assert want["triples"] and want["nodes"]
+    out = tmp_path / "graph"
+    calls = _count_executions(monkeypatch)
+    materialize_graph(ray.data.read_parquet(paths), str(out),
+                      with_entities=with_entities)
+    assert len(calls) == 1, calls
+    got, first_files = _graph_rows(out)
+    assert got == want
+
+    materialize_graph(ray.data.read_parquet(paths), str(out),
+                      with_entities=with_entities)
+    assert len(calls) == 2, calls
+    again, files = _graph_rows(out)
+    assert again == want
+    assert not set(first_files["triples"]) & set(files["triples"])
+
+
+def test_materialize_graph_duplicate_inputs_keep_both_copies(
+    ray_session, monkeypatch, tmp_path
+):
+    """Two byte-identical copies of each input file (same rows, so equal
+    batches, in one task or in two) give twice the triples and edges and
+    twice every node's mentions: no file name of one batch collides with
+    another's. Batches of 10 docs make many files per task."""
+    import pyarrow as pa
+    import ray.data
+
+    from openie_with_entities_ray.pipelines import flagship
+
+    monkeypatch.setattr(flagship, "DOCS_BATCH", 10)
+    single = _write_docs(tmp_path, 40)
+    oracle = _graph_oracle(single, with_entities=True)
+    paths = _write_docs(tmp_path, 40, copies=2)
+    out = tmp_path / "graph"
+    flagship.materialize_graph(ray.data.read_parquet(paths), str(out))
+    got, files = _graph_rows(out)
+    want = _oracle_rows(oracle)
+    for d in ("triples", "edges"):
+        assert got[d] == sorted(want[d] * 2), d
+        assert len(files[d]) >= 8
+    nodes = oracle["nodes"]
+    doubled = nodes.set_column(
+        3, "n_mentions",
+        pa.array([2 * n for n in nodes.column("n_mentions").to_pylist()],
+                 pa.int64()),
+    )
+    assert got["nodes"] == _oracle_rows({"nodes": doubled})["nodes"]
+
+
+def test_graph_writer_names_files_by_task_and_batch_ordinal(
+    ray_session, monkeypatch, tmp_path
+):
+    """Equal batches of one task get one file each (the batch ordinal
+    restarts with every task a worker process runs), and a retry of a
+    task — a fresh kernel in a new process under the same task id —
+    rewrites that task's names instead of adding copies."""
+    import ray
+
+    from openie_with_entities_ray.pipelines.flagship import _GraphWriter
+    from openie_with_entities_ray.sources.source_docs import (
+        synthetic_source_docs_table,
+    )
+
+    class Context:
+        task = "a"
+
+        def get_task_id(self):
+            return self.task
+
+    ctx = Context()
+    monkeypatch.setattr(ray, "get_runtime_context", lambda: ctx)
+    docs = synthetic_source_docs_table(6, seed=SEED)
+
+    def writer():
+        return _GraphWriter(str(tmp_path), "tok", seed=777,
+                            with_entities=True, ent_backend="dictionary")
+
+    w = writer()
+    first = w(docs)
+    assert first.num_rows and w(docs).equals(first)
+    ctx.task = "b"
+    w(docs)
+    assert writer()(docs).equals(first)  # task b retried elsewhere
+    names = ["tok-a-0.parquet", "tok-a-1.parquet", "tok-b-0.parquet"]
+    assert sorted(os.listdir(tmp_path / "triples")) == names
+    assert sorted(os.listdir(tmp_path / "edges")) == names
+
+
+def test_materialize_graph_empty_input_raises_and_writes_nothing(
+    ray_session, tmp_path
+):
+    """A 0-row input extracts no triples: the call raises
+    ``FileNotFoundError`` for ``triples/`` and leaves no output table —
+    a previous run's output in the same ``out_dir`` is removed first."""
+    import ray.data
+
+    from openie_with_entities_ray.pipelines.flagship import (
+        materialize_graph,
+    )
+    from openie_with_entities_ray.sources.source_docs import (
+        synthetic_source_docs_table,
+    )
+
+    empty = tmp_path / "empty.parquet"
+    pq.write_table(synthetic_source_docs_table(0, seed=SEED), empty)
+    out = tmp_path / "graph"
+    materialize_graph(ray.data.read_parquet(_write_docs(tmp_path, 10)),
+                      str(out))
+    assert all((out / d).is_dir() for d in GRAPH_DIRS)
+    with pytest.raises(FileNotFoundError, match="triples"):
+        materialize_graph(ray.data.read_parquet(str(empty)), str(out))
+    assert not any((out / d).exists() for d in GRAPH_DIRS)
+
+
+def test_cli_graph_mode_writes_the_materialize_graph_tables(
+    ray_session, monkeypatch, tmp_path
+):
+    """``--mode graph`` writes the same triples, edges and nodes as a
+    direct ``materialize_graph`` call on the same Parquet input."""
+    import ray
+    import ray.data
+
+    from openie_with_entities_ray import cli
+    from openie_with_entities_ray.pipelines.flagship import (
+        materialize_graph,
+    )
+
+    paths = _write_docs(tmp_path, 30)
+    inp = tmp_path / "docs"
+    inp.mkdir()
+    for p in paths:
+        os.replace(p, inp / os.path.basename(p))
+    direct = tmp_path / "direct"
+    materialize_graph(ray.data.read_parquet(str(inp)), str(direct))
+    # the CLI shuts down the session it ran in; keep the test session's
+    monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+    assert cli.main(["--mode", "graph", "--inp", str(inp),
+                     "--out", str(tmp_path / "cli")]) == 0
+    assert _graph_rows(tmp_path / "cli")[0] == _graph_rows(direct)[0]
