@@ -28,7 +28,10 @@ Build = two deterministic steps:
 2. **Assignments** — per input shard ``k``: read → ``ivf_assign``
    against the broadcast centroids → ``out/assignments/part=<k>/``
    hive-partitioned by ``ivf_bucket`` (``ivf_bucket=<b>/*.parquet``),
-   plus a manifest; a re-run skips every finished shard.
+   plus a manifest (``stages/graph.py:write_partitions``); a re-run
+   skips every finished shard. A manifest records its shard's path and
+   stamp: a resume over a reordered, extended or rewritten listing fails
+   with "resume mismatch" (``--no-resume`` rewrites everything).
 
 Probe never touches Ray's shuffle machinery and never reads the full
 index: it ranks buckets against the persisted centroids, GLOBS only the
@@ -77,8 +80,8 @@ def run_build(files, out_dir: str, *, num_centroids: int = 16,
         ivf_centroids,
     )
     from openie_with_entities_ray.stages.graph import (
-        completed_partitions,
-        write_partition,
+        shard_lineage,
+        write_partitions,
     )
 
     cent_meta = _load_centroids(out_dir) if resume else None
@@ -118,31 +121,25 @@ def run_build(files, out_dir: str, *, num_centroids: int = 16,
         trained = False
 
     centroids = np.asarray(cent_meta["centroids"], dtype=np.float64)
-    assign_dir = os.path.join(out_dir, "assignments")
-    done = completed_partitions(assign_dir) if resume else set()
 
-    written = 0
-    for k, path in enumerate(files):
-        if k in done:
-            continue
+    def assign(k: int):
         shard = ray.data.read_parquet(
-            path, columns=[cent_meta["id_col"], cent_meta["vec_col"]]
+            files[k], columns=[cent_meta["id_col"], cent_meta["vec_col"]]
         )
-        write_partition(
-            ivf_assign(shard, centroids, vec_col=cent_meta["vec_col"]),
-            assign_dir, k,
-            extra_meta={"stage": "ann_assign",
-                        "input": os.path.basename(path)},
-            partition_cols=["ivf_bucket"],
-        )
-        written += 1
+        return ivf_assign(shard, centroids, vec_col=cent_meta["vec_col"])
+
+    manifests, skipped = write_partitions(
+        os.path.join(out_dir, "assignments"),
+        [shard_lineage(path) for path in files], assign,
+        resume=resume, partition_cols=["ivf_bucket"],
+    )
 
     return {
         "input_files": len(files),
         "centroids_trained": trained,
         "num_centroids": int(cent_meta["num_centroids"]),
-        "shards_written": written,
-        "shards_skipped": len(files) - written,
+        "shards_written": len(manifests),
+        "shards_skipped": len(skipped),
     }
 
 

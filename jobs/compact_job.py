@@ -18,12 +18,16 @@ Plan-then-execute, both deterministic:
 1. **Plan** — per-file row counts come from parquet FOOTER METADATA
    only (no data read); files are greedily packed in sorted-path order
    into units of >= target rows. The plan is a pure function of the
-   input listing, so a resumed run rebuilds the identical plan and the
-   manifest check stays valid.
+   input listing.
 2. **Execute** — one output unit = one ``part=<k>`` directory written
-   via ``stages/graph.py:write_partition`` (atomic tmp+rename manifest,
-   crashed-attempt cleanup); a re-run skips every finished unit. Rows
-   stream file→file through Ray's read; nothing is pinned corpus-wide.
+   via ``stages/graph.py:write_partitions`` (atomic tmp+rename manifest,
+   crashed-attempt cleanup); a re-run skips every finished unit. A
+   unit's manifest records its input paths and their stamps, so a resume
+   over a changed listing — a file added, removed or rewritten, which
+   moves the unit boundaries — fails with "resume mismatch" instead of
+   skipping units that now stand for other files (``--no-resume``
+   rebuilds everything). Rows stream file→file through Ray's read;
+   nothing is pinned corpus-wide.
 
 Row ORDER within a unit follows the sorted input-file order (parquet
 readers preserve per-file order), so compaction composes with
@@ -42,19 +46,18 @@ import sys
 def plan_units(files, target_rows: int):
     """Greedy bin-pack of sorted files into units of >= target_rows
     (footer-metadata row counts — no data is read). Returns a list of
-    (paths, rows) tuples; every file lands in exactly one unit."""
+    path lists; every file lands in exactly one unit."""
     import pyarrow.parquet as pq
 
     units, cur, cur_rows = [], [], 0
     for path in files:
-        n = pq.ParquetFile(path).metadata.num_rows
         cur.append(path)
-        cur_rows += n
+        cur_rows += pq.ParquetFile(path).metadata.num_rows
         if cur_rows >= target_rows:
-            units.append((cur, cur_rows))
+            units.append(cur)
             cur, cur_rows = [], 0
     if cur:
-        units.append((cur, cur_rows))
+        units.append(cur)
     return units
 
 
@@ -63,35 +66,21 @@ def run_compact(files, out_dir: str, *, target_rows: int = 1_000_000,
     import ray.data
 
     from openie_with_entities_ray.stages.graph import (
-        completed_partitions,
-        write_partition,
+        shard_lineage,
+        write_partitions,
     )
 
     os.makedirs(out_dir, exist_ok=True)
     units = plan_units(files, target_rows)
-    done = completed_partitions(out_dir) if resume else set()
-
-    written = 0
-    for part, (paths, rows) in enumerate(units):
-        if part in done:
-            continue
-        write_partition(
-            ray.data.read_parquet(paths),
-            out_dir, part,
-            extra_meta={
-                "stage": "compact",
-                "input_files": len(paths),
-                "planned_rows": rows,
-                "inputs": [os.path.basename(p) for p in paths],
-            },
-        )
-        written += 1
-
+    manifests, skipped = write_partitions(
+        out_dir, [shard_lineage(paths) for paths in units],
+        lambda k: ray.data.read_parquet(units[k]), resume=resume,
+    )
     return {
         "input_files": len(files),
         "units": len(units),
-        "written": written,
-        "skipped": len(units) - written,
+        "written": len(manifests),
+        "skipped": len(skipped),
     }
 
 

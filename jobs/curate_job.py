@@ -9,8 +9,10 @@ next to jobs/graph_job.py and jobs/dedup_job.py):
         -- python jobs/curate_job.py \
            --input '/mnt/data/documents/*.parquet' --out /mnt/out/curate
 
-Stages, each manifest-tracked (``stages/graph.py:write_partition`` —
-atomic tmp+rename manifests; a re-run skips every finished unit):
+Stages 1-3 are manifest-tracked (``stages/graph.py:write_partitions``
+— atomic tmp+rename manifests; a re-run skips every finished unit, and
+refuses with "resume mismatch" when a unit's recorded lineage differs
+from this run's; ``--no-resume`` rebuilds everything):
 
 1. ``clean/part=<k>`` — per input shard: C4-style quality filter
    (same kernels and default thresholds as
@@ -20,19 +22,20 @@ atomic tmp+rename manifests; a re-run skips every finished unit):
    ``--benchmark <glob>`` the same scan also drops docs sharing any
    word n-gram with the eval set (dataops.decontaminate's rule, fused
    — the gram set is built and ``ray.put`` ONCE per job). Its manifest
-   records the shard's path and stamp (``stages/graph.py:shard_lineage``);
-   a resume over a reordered list or a shard rewritten since refuses with
-   "resume mismatch" (``--no-resume`` rebuilds everything).
+   records the shard's path and stamp (``stages/graph.py:shard_lineage``)
+   and the ``--benchmark`` glob, so a resume over a reordered list, a
+   shard rewritten since or another benchmark is refused.
 2. ``keepers/part=<p>`` — global exact dedup at hash granularity: for
    each of the 16 sha256 hex prefixes, the min-doc_id keeper per
    distinct hash over ALL clean shards (parquet predicate pushdown on
    ``sha_prefix``, per-batch combiner, ``exchange`` on the hash — never
-   one Ray group per hash). 16 independent resumable units.
-3. ``survivors/part=<k>`` — per shard: clean rows whose doc_id IS the
-   keeper for their hash (inner hash join on the hash + vectorized
-   equality filter), i.e. cross-shard exact dedup applied next to the
-   data. Empty-after-cleaning shards short-circuit (Ray's native join
-   cannot take a zero-row side).
+   one Ray group per hash). 16 independent resumable units, each
+   recording its ``sha_prefix``.
+3. ``survivors/part=<k>`` — per shard (manifest: the shard's path):
+   clean rows whose doc_id IS the keeper for their hash (inner hash
+   join on the hash + vectorized equality filter), i.e. cross-shard
+   exact dedup applied next to the data. Empty-after-cleaning shards
+   short-circuit (Ray's native join cannot take a zero-row side).
 4. ``report.json`` — per-language docs/words/BPE-ish tokens over the
    curated corpus; a tiny aggregate rewritten atomically whenever any
    survivor shard was (re)written.
@@ -278,11 +281,12 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
                min_stopword_permille: int = 50,
                max_punct_permille: int = 200,
                benchmark: str | None = None, decon_n: int = 5) -> dict:
+    import pyarrow as pa
+    import ray.data
+
     from openie_with_entities_ray.stages.graph import (
-        check_resume,
-        completed_partitions,
         shard_lineage,
-        write_partition,
+        write_partitions,
     )
 
     os.makedirs(out_dir, exist_ok=True)
@@ -292,9 +296,6 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
     # resumed run recomputes the identical set)
     bench_gram_ref = None
     if benchmark:
-        import ray
-        import ray.data
-
         from openie_with_entities_ray.stages.dataops import (
             benchmark_ngrams,
         )
@@ -310,99 +311,76 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
             )
         )
 
+    lineages = [shard_lineage(shard) for shard in shards]
+
     # stage 1: per-shard clean (+ fused decontamination when requested)
     clean_dir = os.path.join(out_dir, "clean")
-    done = completed_partitions(clean_dir) if resume else set()
-    clean_written = 0
-    for part, shard in enumerate(shards):
-        lineage = shard_lineage(str(shard))
-        if part in done:
-            check_resume(clean_dir, part, lineage)
-            continue
-        write_partition(
-            clean_shard(
-                shard, min_words=min_words, max_words=max_words,
-                min_stopword_permille=min_stopword_permille,
-                max_punct_permille=max_punct_permille,
-                bench_gram_ref=bench_gram_ref, decon_n=decon_n,
-            ),
-            clean_dir, part,
-            extra_meta={
-                **lineage,
-                "stage": "clean",
-                "benchmark": benchmark or "",
-            },
-        )
-        clean_written += 1
+    cleaned, _ = write_partitions(
+        clean_dir,
+        [{**lineage, "benchmark": benchmark or ""} for lineage in lineages],
+        lambda part: clean_shard(
+            shards[part], min_words=min_words, max_words=max_words,
+            min_stopword_permille=min_stopword_permille,
+            max_punct_permille=max_punct_permille,
+            bench_gram_ref=bench_gram_ref, decon_n=decon_n,
+        ),
+        resume=resume,
+    )
 
     clean_files = sorted(
         glob.glob(os.path.join(clean_dir, "part=*", "*.parquet"))
     )
 
     # stage 2: global keepers per sha prefix
-    keep_dir = os.path.join(out_dir, "keepers")
-    done_k = completed_partitions(keep_dir) if resume else set()
-    keepers_written = 0
-    for prefix in range(16):
-        if prefix in done_k:
-            continue
+    def keepers(prefix: int):
         if clean_files:
-            ds = keeper_partition(clean_files, prefix)
-        else:
-            import pyarrow as pa
-            import ray.data
-
-            ds = ray.data.from_arrow(
-                pa.table(
-                    {
-                        "content_sha256": pa.array([], pa.string()),
-                        "keeper_id": pa.array([], pa.int64()),
-                    }
-                )
+            return keeper_partition(clean_files, prefix)
+        return ray.data.from_arrow(
+            pa.table(
+                {
+                    "content_sha256": pa.array([], pa.string()),
+                    "keeper_id": pa.array([], pa.int64()),
+                }
             )
-        write_partition(
-            ds, keep_dir, prefix,
-            extra_meta={"stage": "keepers", "sha_prefix": prefix},
         )
-        keepers_written += 1
+
+    keep_dir = os.path.join(out_dir, "keepers")
+    kept, _ = write_partitions(
+        keep_dir, [{"sha_prefix": prefix} for prefix in range(16)],
+        keepers, resume=resume,
+    )
 
     keeper_files = sorted(
         glob.glob(os.path.join(keep_dir, "part=*", "*.parquet"))
     )
 
     # stage 3: per-shard survivors
-    surv_dir = os.path.join(out_dir, "survivors")
-    done_s = completed_partitions(surv_dir) if resume else set()
-    survivors_written = 0
-    for part in range(len(shards)):
-        if part in done_s:
-            continue
+    def survivors(part: int):
         part_files = sorted(
             glob.glob(os.path.join(clean_dir, f"part={part}", "*.parquet"))
         )
         if part_files and keeper_files:
-            ds = survivors_partition(part_files, keeper_files)
-        else:
-            # shard emptied by the quality filter: zero survivors (the
-            # native join cannot take a zero-row side)
-            import pyarrow as pa
-            import ray.data
-
-            ds = ray.data.from_arrow(
-                pa.table({"doc_id": pa.array([], pa.int64())})
-            )
-        write_partition(
-            ds, surv_dir, part,
-            extra_meta={"input": str(shards[part]), "stage": "survivors"},
+            return survivors_partition(part_files, keeper_files)
+        # shard emptied by the quality filter: zero survivors (the
+        # native join cannot take a zero-row side)
+        return ray.data.from_arrow(
+            pa.table({"doc_id": pa.array([], pa.int64())})
         )
-        survivors_written += 1
+
+    # the path binds part k to shard k; the shard's stamp is checked by
+    # the clean stage, which runs first over the same listing
+    surv_dir = os.path.join(out_dir, "survivors")
+    survived, _ = write_partitions(
+        surv_dir, [{"input": lineage["input"]} for lineage in lineages],
+        survivors, resume=resume,
+    )
 
     # stage 4: budget report (rewritten if anything changed or missing)
     survivor_files = sorted(
         glob.glob(os.path.join(surv_dir, "part=*", "*.parquet"))
     )
     report_path = os.path.join(out_dir, "report.json")
-    if survivors_written or not os.path.exists(report_path):
+    if survived or not os.path.exists(report_path):
         report = write_report(survivor_files, out_dir)
     else:
         with open(report_path) as f:
@@ -410,9 +388,9 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
 
     return {
         "shards": len(shards),
-        "clean_written": clean_written,
-        "keepers_written": keepers_written,
-        "survivors_written": survivors_written,
+        "clean_written": len(cleaned),
+        "keepers_written": len(kept),
+        "survivors_written": len(survived),
         "curated_docs": report.get("total_docs", 0),
     }
 

@@ -12,7 +12,11 @@ manifest-tracked verdict table:
 
 Per input shard the job writes ``out/<method>/part=<k>/`` Parquet plus a
 manifest; a re-run skips every shard whose manifest exists (pruned at
-the read — nothing upstream re-executes). Exact dedup emits
+the read — nothing upstream re-executes). Every stage goes through
+``stages/graph.py:write_partitions``: a shard's manifest records its
+path and stamp, a band's its band, and a resume over a reordered,
+extended or rewritten listing fails with "resume mismatch"
+(``--no-resume`` rebuilds everything). Exact dedup emits
 (content_sha256, keeper_id, n_docs) groups; minhash/simhash emit
 verified near-dup pairs WITHIN the shard (the resumable embarrassingly-
 parallel first stage that removes the bulk of duplicates next to the
@@ -96,8 +100,8 @@ def run_cross_shard(shards, out_dir: str, method: str = "minhash", *,
         simhash_signatures,
     )
     from openie_with_entities_ray.stages.graph import (
-        completed_partitions,
-        write_partition,
+        shard_lineage,
+        write_partitions,
     )
 
     if method == "minhash":
@@ -127,13 +131,8 @@ def run_cross_shard(shards, out_dir: str, method: str = "minhash", *,
         raise SystemExit(f"--cross-shard unsupported for method {method}")
 
     # stage 1: per-shard survivor signatures
-    sig_dir = os.path.join(out_dir, "sigs")
-    done = completed_partitions(sig_dir) if resume else set()
-    sigs_written = 0
-    for part, shard in enumerate(shards):
-        if part in done:
-            continue
-        docs = ray.data.read_parquet(shard, columns=["doc_id", "text"])
+    def survivor_signatures(part: int):
+        docs = ray.data.read_parquet(shards[part], columns=["doc_id", "text"])
         pair_files = glob.glob(
             os.path.join(out_dir, f"part={part}", "*.parquet")
         )
@@ -152,45 +151,44 @@ def run_cross_shard(shards, out_dir: str, method: str = "minhash", *,
                 num_partitions=max(2, cluster_cpus() // 4),
                 on=("doc_id",),
             )
-        write_partition(
-            signatures(docs), sig_dir, part,
-            extra_meta={"input": str(shard), "stage": "signatures"},
-        )
-        sigs_written += 1
+        return signatures(docs)
+
+    sig_dir = os.path.join(out_dir, "sigs")
+    sigs, _ = write_partitions(
+        sig_dir, [shard_lineage(shard) for shard in shards],
+        survivor_signatures, resume=resume,
+    )
 
     # stage 2: per-band global pairs over ALL shards' signatures
-    glob_dir = os.path.join(out_dir, "global")
-    done_bands = completed_partitions(glob_dir) if resume else set()
-    bands_written = 0
     sig_files = sorted(glob.glob(os.path.join(sig_dir, "part=*", "*.parquet")))
     if not sig_files:
         # every input shard was empty (an empty partition writes no
         # parquet at all) — the global pass trivially has zero pairs
         return {
-            "cross_shard_sigs_written": sigs_written,
+            "cross_shard_sigs_written": len(sigs),
             "cross_shard_bands_written": 0,
-            "cross_shard_bands_skipped": len(done_bands),
+            "cross_shard_bands_skipped": 0,
         }
-    for band in range(num_bands):
-        if band in done_bands:
-            continue
+
+    def global_pairs(band: int):
         # explicit columns= also drops the hive-inferred 'part' column
         # from the part=<k> directory names (it would collide with the
         # bucket shuffle key added downstream)
-        band_sigs = ray.data.read_parquet(
+        return band_pairs(ray.data.read_parquet(
             sig_files,
             columns=sig_columns,
             filter=(pads.field("band") == band),
-        )
-        write_partition(
-            band_pairs(band_sigs), glob_dir, band,
-            extra_meta={"stage": "band_pairs", "band": band},
-        )
-        bands_written += 1
+        ))
+
+    bands, skipped = write_partitions(
+        os.path.join(out_dir, "global"),
+        [{"band": band} for band in range(num_bands)],
+        global_pairs, resume=resume,
+    )
     return {
-        "cross_shard_sigs_written": sigs_written,
-        "cross_shard_bands_written": bands_written,
-        "cross_shard_bands_skipped": len(done_bands),
+        "cross_shard_sigs_written": len(sigs),
+        "cross_shard_bands_written": len(bands),
+        "cross_shard_bands_skipped": len(skipped),
     }
 
 
@@ -212,12 +210,9 @@ def run_emit_survivors(shards, out_dir: str, *, resume: bool = True) -> dict:
         near_dedup_dropped_ids,
     )
     from openie_with_entities_ray.stages.graph import (
-        completed_partitions,
-        write_partition,
+        shard_lineage,
+        write_partitions,
     )
-
-    surv_dir = os.path.join(out_dir, "survivors")
-    done = completed_partitions(surv_dir) if resume else set()
 
     pair_files = sorted(
         glob.glob(os.path.join(out_dir, "part=*", "*.parquet"))
@@ -230,11 +225,8 @@ def run_emit_survivors(shards, out_dir: str, *, resume: bool = True) -> dict:
         # computed once, pinned in the object store, consumed per shard
         dropped = near_dedup_dropped_ids(pairs).materialize()
 
-    written = 0
-    for part, shard in enumerate(shards):
-        if part in done:
-            continue
-        docs = ray.data.read_parquet(shard, columns=["doc_id"])
+    def survivors(part: int):
+        docs = ray.data.read_parquet(shards[part], columns=["doc_id"])
         n_dropped = dropped.count() if dropped is not None else 0
         if n_dropped > 0:
             docs = docs.join(
@@ -248,14 +240,16 @@ def run_emit_survivors(shards, out_dir: str, *, resume: bool = True) -> dict:
                 ),
                 on=("doc_id",),
             )
-        write_partition(
-            docs, surv_dir, part,
-            extra_meta={"input": str(shard), "stage": "survivors"},
-        )
-        written += 1
+        return docs
+
+    manifests, skipped = write_partitions(
+        os.path.join(out_dir, "survivors"),
+        [shard_lineage(shard) for shard in shards], survivors,
+        resume=resume,
+    )
     return {
-        "survivor_shards_written": written,
-        "survivor_shards_skipped": len(done),
+        "survivor_shards_written": len(manifests),
+        "survivor_shards_skipped": len(skipped),
     }
 
 
@@ -303,8 +297,8 @@ def main(argv=None) -> int:
     import ray.data
 
     from openie_with_entities_ray.stages.graph import (
-        completed_partitions,
-        write_partition,
+        shard_lineage,
+        write_partitions,
     )
 
     if "://" in args.input:
@@ -319,18 +313,12 @@ def main(argv=None) -> int:
         return 1
 
     out_dir = os.path.join(args.out, args.method)
-    done = completed_partitions(out_dir) if not args.no_resume else set()
-    manifests, skipped = [], []
-    for part, shard in enumerate(shards):
-        if part in done:
-            skipped.append(part)
-            continue
-        docs = ray.data.read_parquet(shard, columns=["doc_id", "text"])
-        result = _pipeline(args.method, docs)
-        manifests.append(
-            write_partition(result, out_dir, part,
-                            extra_meta={"input": str(shard)})
-        )
+    manifests, skipped = write_partitions(
+        out_dir, [shard_lineage(shard) for shard in shards],
+        lambda part: _pipeline(args.method, ray.data.read_parquet(
+            shards[part], columns=["doc_id", "text"])),
+        resume=not args.no_resume,
+    )
     summary = {
         "method": args.method,
         "shards_total": len(shards),

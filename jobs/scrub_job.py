@@ -22,7 +22,11 @@ as jobs/ann_job.py:
 2. **Per-shard strip** — for each input shard: read →
    ``strip_boilerplate`` against the broadcast set →
    ``out/scrubbed/part=<k>/`` (doc_id, n_kept, n_removed, clean_text)
-   plus a manifest; a re-run skips finished shards.
+   plus a manifest (``stages/graph.py:write_partitions``); a re-run
+   skips finished shards. A manifest records its shard's path and stamp
+   and ``min_docs``: a resume over a reordered, extended or rewritten
+   listing, or under another ``--min-docs``, fails with "resume
+   mismatch" (``--no-resume`` rewrites everything).
 
 The duplicated-SPAN scrub (``dup_span_scrub``) has no broadcast-sized
 global artifact (its duplicated-gram set is corpus-scaled), so it stays
@@ -65,16 +69,17 @@ def run_scrub(files, out_dir: str, *, min_docs: int = 3,
         strip_boilerplate,
     )
     from openie_with_entities_ray.stages.graph import (
-        completed_partitions,
-        write_partition,
+        shard_lineage,
+        write_partitions,
     )
 
     meta = _load_boiler(out_dir) if resume else None
     if meta is not None and meta.get("min_docs") != min_docs:
         # A resumed run with a DIFFERENT min_docs would recount the set
-        # but completed_partitions would still skip shards written under
-        # the OLD set — the exact mixed-definition inconsistency the
-        # persisted-set design exists to prevent. Fail loudly instead.
+        # while finished shards keep the OLD set — the exact
+        # mixed-definition inconsistency the persisted-set design exists
+        # to prevent. Fail loudly instead (each shard's manifest records
+        # min_docs too).
         raise SystemExit(
             f"{out_dir}/boilerplate.json was built with "
             f"min_docs={meta.get('min_docs')} but this run requests "
@@ -96,29 +101,20 @@ def run_scrub(files, out_dir: str, *, min_docs: int = 3,
     else:
         counted = False
 
-    scrub_dir = os.path.join(out_dir, "scrubbed")
-    done = completed_partitions(scrub_dir) if resume else set()
-
-    written = 0
-    for k, path in enumerate(files):
-        if k in done:
-            continue
-        shard = ray.data.read_parquet(path)
-        write_partition(
-            strip_boilerplate(shard, meta["hashes"]),
-            scrub_dir, k,
-            extra_meta={"stage": "scrub",
-                        "input": os.path.basename(path),
-                        "min_docs": min_docs},
-        )
-        written += 1
+    manifests, skipped = write_partitions(
+        os.path.join(out_dir, "scrubbed"),
+        [{**shard_lineage(path), "min_docs": min_docs} for path in files],
+        lambda k: strip_boilerplate(ray.data.read_parquet(files[k]),
+                                    meta["hashes"]),
+        resume=resume,
+    )
 
     return {
         "input_files": len(files),
         "boiler_counted": counted,
         "n_boilerplate_sentences": meta["n_boilerplate_sentences"],
-        "shards_written": written,
-        "shards_skipped": len(files) - written,
+        "shards_written": len(manifests),
+        "shards_skipped": len(skipped),
     }
 
 

@@ -26,15 +26,15 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .. import schemas
 from ..stages import canonical
 from ..stages.canonical import canonicalize_surfaces, merge_partials
 from ..stages.extract import FusedExtractor, map_kernel
 from ..stages.graph import (
-    check_resume,
     clear_partition,
     commit_partition,
-    completed_partitions,
     dedup_edges,
+    pending_partitions,
     shard_lineage,
     triples_to_edges,
     # resumable_materialize no longer calls it, but perfbench's tracer
@@ -151,6 +151,9 @@ class _GraphWriter:
         return canonical._partial_counts(triples)
 
 
+GRAPH_TABLES = ("triples", "edges", "nodes")
+
+
 def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
                       with_entities: bool = True,
                       ent_backend: str = "dictionary"):
@@ -172,11 +175,12 @@ def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
     cleanup a re-run would leave both generations side by side and a
     reader would silently double-count (same rationale as
     stages/graph.py:write_partition). A run that extracts no triples
-    writes no table and raises ``FileNotFoundError``."""
+    writes each table as one 0-row ``empty.parquet`` with the schema a
+    non-empty run writes."""
     import shutil
     import uuid
 
-    for sub in ("triples", "edges", "nodes"):
+    for sub in GRAPH_TABLES:
         path = os.path.join(out_dir, sub)
         if os.path.isdir(path):
             shutil.rmtree(path)
@@ -187,9 +191,19 @@ def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
         ent_backend=ent_backend,
     )
     merge_partials(partials).write_parquet(f"{out_dir}/nodes")
-    triples_dir = os.path.join(out_dir, "triples")
-    if not os.path.isdir(triples_dir):
-        raise FileNotFoundError(f"no triples extracted: {triples_dir}")
+    if not os.path.isdir(os.path.join(out_dir, "triples")):
+        # no batch yielded a triple: each table becomes one 0-row file,
+        # its schema the one the same callables give a non-empty run
+        triples, edges = _graph_batch(
+            _extractor(seed, with_entities, ent_backend),
+            schemas.SOURCE_DOCS.empty_table(),
+        )
+        nodes = canonical.finalize(
+            canonical.merge(canonical._partial_counts(triples))
+        )
+        for sub, table in zip(GRAPH_TABLES, (triples, edges, nodes)):
+            os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+            pq.write_table(table, os.path.join(out_dir, sub, "empty.parquet"))
 
 
 # A row group splits into at most this many work units, each a run of
@@ -288,8 +302,9 @@ def resumable_materialize(
     checkpoints): shard k's edges land in ``out_dir/edges/part=<k>/`` and
     its manifest records the shard path and content stamp
     (``memo._path_stamp``: bytes, newest mtime). A re-run skips every
-    shard whose manifest exists — pruning happens before anything is
-    read, so nothing upstream re-executes.
+    shard whose manifest exists (``stages/graph.py:pending_partitions``,
+    the resume decision of every manifest-tracked stage) — pruning
+    happens before anything is read, so nothing upstream re-executes.
 
     The unit of *work* is a run of rows inside one row group: every
     pending shard's row groups (read from its Parquet footer), each cut
@@ -305,41 +320,29 @@ def resumable_materialize(
 
     Partition k is bound to input_shards[k]: a resume whose list
     disagrees with a completed manifest's path, or whose shard changed
-    since that manifest's stamp, fails loudly (same parameter-drift
-    rule as jobs/scrub_job) — a reordered list or a rewritten shard
-    would otherwise skip the wrong rows and double-count others.
-    Manifests written before stamps existed resume on the path check.
+    since that manifest's stamp, fails with "resume mismatch" — a
+    reordered list or a rewritten shard would otherwise skip the wrong
+    rows and double-count others. Manifests written before stamps
+    existed resume on the path check.
 
     Returns (manifests_written sorted by partition, shards_skipped).
     """
     import ray.data
 
     edges_dir = f"{out_dir}/edges"
-    done = completed_partitions(edges_dir) if resume else set()
-    pending, skipped = {}, []
-    for part, shard_path in enumerate(input_shards):
-        lineage = shard_lineage(str(shard_path))
-        if part in done:
-            check_resume(edges_dir, part, lineage)
-            skipped.append(part)
-            continue
-        pending[part] = lineage
-
-    def commit(part: int, rows: int, busy_s: float) -> dict:
-        return commit_partition(edges_dir, part, {
-            "partition": part, "rows": rows, "elapsed_s": round(busy_s, 3),
-            **pending[part],
-        })
+    lineages = [shard_lineage(shard) for shard in input_shards]
+    pending, skipped = pending_partitions(edges_dir, lineages, resume)
 
     units, remaining, manifests = [], {}, []
-    for part, lineage in pending.items():
+    for part in pending:
         clear_partition(edges_dir, part)
-        shard_units = _shard_units(part, lineage["input"])
+        shard_units = _shard_units(part, lineages[part]["input"])
         units += shard_units
         if shard_units:
             remaining[part] = len(shard_units)
         else:
-            manifests.append(commit(part, 0, 0.0))
+            manifests.append(
+                commit_partition(edges_dir, part, 0, 0.0, lineages[part]))
     if units:
         results = map_kernel(
             ray.data.from_items(units, override_num_blocks=len(units)),
@@ -353,5 +356,6 @@ def resumable_materialize(
             busy[part] += r["busy_s"]
             remaining[part] -= 1
             if not remaining[part]:
-                manifests.append(commit(part, rows[part], busy[part]))
+                manifests.append(commit_partition(
+                    edges_dir, part, rows[part], busy[part], lineages[part]))
     return sorted(manifests, key=lambda m: m["partition"]), skipped

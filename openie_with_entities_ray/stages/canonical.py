@@ -128,42 +128,44 @@ def canonicalize_surfaces(triples_ds, num_parts: int | None = None):
     )
 
 
+def merge(g: pa.Table) -> pa.Table:
+    """One part's :func:`_partial_counts` rows → one row per node key."""
+    out = g.group_by(
+        ["surface_norm", "is_ent"], use_threads=False
+    ).aggregate([("surface", "min"), ("n_mentions", "sum")])
+    return out.select(
+        ["surface_norm", "is_ent", "surface_min", "n_mentions_sum"]
+    ).rename_columns(["surface_norm", "is_ent", "surface", "n_mentions"])
+
+
+def finalize(batch: pa.Table) -> pa.Table:
+    """Merged rows → nodes table rows (node ids assigned)."""
+    norms = batch.column("surface_norm").to_pylist()
+    is_ent = batch.column("is_ent").to_pylist()
+    return pa.table(
+        {
+            # entity rows keep the linked id verbatim (the id the
+            # edge endpoints carry); surface rows content-address
+            "node_id": pa.array(
+                [n if e else canonical_id(n)
+                 for n, e in zip(norms, is_ent)],
+                pa.string(),
+            ),
+            "surface_norm": batch.column("surface_norm"),
+            "surface": batch.column("surface"),
+            "n_mentions": batch.column("n_mentions"),
+        }
+    )
+
+
 def merge_partials(partials_ds, num_parts: int | None = None):
     """:func:`_partial_counts` rows → nodes table: ``exchange`` on the
-    surface, ONE Arrow hash aggregate per part (``merge``), then node ids
-    (``finalize``). The partial rows come from :func:`canonicalize_surfaces`'
-    ``partial`` map or from the graph writer task of
-    ``pipelines/flagship.py:materialize_graph``."""
-
-    def merge(g: pa.Table) -> pa.Table:
-        out = g.group_by(
-            ["surface_norm", "is_ent"], use_threads=False
-        ).aggregate([("surface", "min"), ("n_mentions", "sum")])
-        return out.select(
-            ["surface_norm", "is_ent", "surface_min", "n_mentions_sum"]
-        ).rename_columns(["surface_norm", "is_ent", "surface", "n_mentions"])
-
+    surface, ONE Arrow hash aggregate per part (:func:`merge`), then node
+    ids (:func:`finalize`). The partial rows come from
+    :func:`canonicalize_surfaces`' ``partial`` map or from the graph
+    writer task of ``pipelines/flagship.py:materialize_graph``."""
     agg = exchange(partials_ds, "surface_norm", merge, num_parts=num_parts,
                    batch_format="pyarrow")
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        norms = batch.column("surface_norm").to_pylist()
-        is_ent = batch.column("is_ent").to_pylist()
-        return pa.table(
-            {
-                # entity rows keep the linked id verbatim (the id the
-                # edge endpoints carry); surface rows content-address
-                "node_id": pa.array(
-                    [n if e else canonical_id(n)
-                     for n, e in zip(norms, is_ent)],
-                    pa.string(),
-                ),
-                "surface_norm": batch.column("surface_norm"),
-                "surface": batch.column("surface"),
-                "n_mentions": batch.column("n_mentions"),
-            }
-        )
-
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 

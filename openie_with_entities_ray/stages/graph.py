@@ -30,15 +30,21 @@ all three directories first) writes the whole graph:
                                      (the same batch's edges)
       nodes/...parquet               (canonicalize merge, Ray's writer)
 
-Resume = anti-join of existing manifests against the partition plan: a
-re-run processes only partitions whose manifest is missing, then yields
-byte-identical output (every stage is a pure function of the input rows).
-A manifest's ``elapsed_s`` is the seconds spent building its partition:
-:func:`write_partition`'s wall time, or the sum of the work units' task
-times in ``resumable_materialize``.
-The other manifest-tracked jobs write ``<dir>/part=<k>/`` through
-:func:`write_partition`; every manifest lands through
-:func:`commit_partition`.
+(a run without triples writes each of the three as one 0-row
+``empty.parquet``).
+
+Resume is one protocol: every manifest-tracked stage of the package
+and of ``jobs/`` decides it through :func:`pending_partitions` (all but
+``resumable_materialize`` through :func:`write_partitions`). Partition
+k's lineage is what its manifest records of its input
+(:func:`shard_lineage`, or a unit's own key) plus the parameters its
+rows depend on. A re-run builds the partitions without a manifest and
+skips the others only once :func:`check_resume` finds their lineage
+unchanged — it raises "resume mismatch" otherwise. A manifest is
+``{partition, rows, elapsed_s}`` plus the lineage, committed by
+:func:`commit_partition`; ``elapsed_s`` is :func:`write_partition`'s
+wall time, or the sum of the unit task times in
+``resumable_materialize``.
 """
 
 from __future__ import annotations
@@ -303,41 +309,41 @@ def _manifest_path(out_dir: str, part: int) -> str:
     return os.path.join(out_dir, "_manifests", f"part-{part}.json")
 
 
-def read_manifest(out_dir: str, part: int) -> dict:
-    """A completed partition's manifest, or ``{}`` when absent/unreadable
-    — resume callers compare its lineage (``input``, ``stamp``) against
-    the shard they are about to skip."""
-    try:
-        with open(_manifest_path(out_dir, part)) as f:
-            return json.load(f)
-    except (OSError, ValueError):
-        return {}
-
-
-def shard_lineage(shard_path: str) -> dict:
-    """What a manifest records of the input shard it was built from: the
-    path and its ``memo._path_stamp`` (bytes, newest mtime), the stamp as
-    a list, as its JSON manifest reads back."""
+def shard_lineage(shard) -> dict:
+    """What a manifest records of the input its partition was built from:
+    the path and its ``memo._path_stamp`` (bytes, newest mtime), the stamp
+    as a list, as its JSON manifest reads back. A list of paths (a
+    multi-file unit) records the list and one stamp per path."""
     from ..memo import _path_stamp
 
-    stamp = _path_stamp(shard_path)
-    return {"input": shard_path, "stamp": stamp and list(stamp)}
+    def stamp(path: str):
+        st = _path_stamp(path)
+        return st and list(st)
+
+    if isinstance(shard, (list, tuple)):
+        paths = [str(p) for p in shard]
+        return {"input": paths, "stamp": [stamp(p) for p in paths]}
+    return {"input": str(shard), "stamp": stamp(str(shard))}
 
 
 def check_resume(out_dir: str, part: int, lineage: dict) -> None:
     """Refuse to skip completed partition ``part`` when its manifest
-    records a different value for a key of ``lineage`` (see
-    :func:`shard_lineage`): a reordered shard list or a shard rewritten
-    since the manifest would otherwise skip the wrong rows. A key the
-    manifest lacks (one written before stamps existed) passes."""
-    recorded = read_manifest(out_dir, part)
+    records a different value for a key of ``lineage``: a reordered or
+    extended input list, a rewritten input or a changed parameter would
+    otherwise keep rows built from something else. A key the manifest
+    lacks (written before it was recorded) passes."""
+    try:
+        with open(_manifest_path(out_dir, part)) as f:
+            recorded = json.load(f)
+    except (OSError, ValueError):
+        recorded = {}
     for key, now in lineage.items():
         if recorded.get(key, now) != now:
             raise ValueError(
                 f"resume mismatch: {os.path.basename(out_dir)}/part={part} "
-                f"was built from {key} {recorded[key]!r} but shard {part} "
-                f"now has {now!r} — pass the original, unchanged shards, "
-                "or rebuild without resuming"
+                f"was built with {key} {recorded[key]!r} but this run has "
+                f"{now!r} — pass the original, unchanged inputs and "
+                "parameters, or rebuild without resuming"
             )
 
 
@@ -350,6 +356,35 @@ def completed_partitions(out_dir: str) -> set:
         if name.startswith("part-") and name.endswith(".json"):
             done.add(int(name[len("part-") : -len(".json")]))
     return done
+
+
+def pending_partitions(out_dir: str, lineages, resume: bool):
+    """The resume decision: ``(pending, skipped)`` partition lists for
+    ``lineages[k]``, partition k's lineage. A completed partition is
+    skipped only after :func:`check_resume` accepts its manifest;
+    ``resume=False`` leaves every one pending."""
+    done = completed_partitions(out_dir) if resume else set()
+    pending, skipped = [], []
+    for part, lineage in enumerate(lineages):
+        if part in done:
+            check_resume(out_dir, part, lineage)
+            skipped.append(part)
+        else:
+            pending.append(part)
+    return pending, skipped
+
+
+def write_partitions(out_dir: str, lineages, build, *, resume: bool,
+                     partition_cols=None):
+    """Write every pending partition k (:func:`pending_partitions`) as
+    :func:`write_partition` of the Dataset ``build(k)``, its manifest
+    recording ``lineages[k]``. Returns ``(manifests, skipped)``."""
+    pending, skipped = pending_partitions(out_dir, lineages, resume)
+    manifests = [
+        write_partition(build(k), out_dir, k, lineages[k], partition_cols)
+        for k in pending
+    ]
+    return manifests, skipped
 
 
 def clear_partition(out_dir: str, part: int) -> str:
@@ -369,16 +404,14 @@ def clear_partition(out_dir: str, part: int) -> str:
     return dest
 
 
-def write_partition(ds_part, out_dir: str, part: int, extra_meta=None,
+def write_partition(ds_part, out_dir: str, part: int, lineage: dict,
                     partition_cols=None) -> dict:
     """Write one partition's rows + manifest atomically. A partition is
     only declared done by its manifest (tmp file + rename); any parquet
     files from a previous crashed attempt are DELETED before rewriting —
     Ray names output files with fresh UUIDs, so without the cleanup a
     resume would double-count the partial files. Row counts come from the
-    written files' own metadata (one pipeline execution, not two). The
-    manifest carries the north rule's lineage + metrics: row count, wall
-    time, and whatever the caller adds (input shard path/sha).
+    written files' own metadata (one pipeline execution, not two).
     ``partition_cols`` hive-partitions the rows WITHIN the partition dir
     (``part=<k>/<col>=<v>/...``) so downstream readers can prune at the
     storage level (jobs/ann_job.py prunes IVF buckets this way)."""
@@ -399,20 +432,18 @@ def write_partition(ds_part, out_dir: str, part: int, extra_meta=None,
         if os.path.isdir(dest)
         else 0
     )
-    meta = {
-        "partition": part,
-        "rows": rows,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    return commit_partition(out_dir, part, meta)
+    return commit_partition(out_dir, part, rows, time.perf_counter() - t0,
+                            lineage)
 
 
-def commit_partition(out_dir: str, part: int, meta: dict) -> dict:
-    """Declare partition ``part`` done: write its manifest atomically
-    (tmp file + rename), so a crash leaves either no manifest or a whole
-    one. Returns ``meta``."""
+def commit_partition(out_dir: str, part: int, rows: int, elapsed_s: float,
+                     lineage: dict) -> dict:
+    """Declare partition ``part`` done: write its manifest — the north
+    rule's metrics + lineage, ``{partition, rows, elapsed_s}`` plus
+    ``lineage`` — atomically (tmp file + rename), so a crash leaves
+    either no manifest or a whole one. Returns the manifest."""
+    meta = {"partition": part, "rows": rows,
+            "elapsed_s": round(elapsed_s, 3), **lineage}
     os.makedirs(os.path.join(out_dir, "_manifests"), exist_ok=True)
     tmp = _manifest_path(out_dir, part) + ".tmp"
     with open(tmp, "w") as f:

@@ -919,12 +919,14 @@ def test_graph_writer_names_files_by_task_and_batch_ordinal(
     assert sorted(os.listdir(tmp_path / "edges")) == names
 
 
-def test_materialize_graph_empty_input_raises_and_writes_nothing(
-    ray_session, tmp_path
+@pytest.mark.parametrize("with_entities", [False, True])
+def test_materialize_graph_empty_input_writes_empty_tables(
+    ray_session, tmp_path, with_entities
 ):
-    """A 0-row input extracts no triples: the call raises
-    ``FileNotFoundError`` for ``triples/`` and leaves no output table —
-    a previous run's output in the same ``out_dir`` is removed first."""
+    """A 0-row input extracts no triples: the call writes ``triples/``,
+    ``edges/`` and ``nodes/`` as one 0-row file each, with the schema a
+    non-empty run writes — and a previous run's output in the same
+    ``out_dir`` is removed first."""
     import ray.data
 
     from openie_with_entities_ray.pipelines.flagship import (
@@ -938,11 +940,42 @@ def test_materialize_graph_empty_input_raises_and_writes_nothing(
     pq.write_table(synthetic_source_docs_table(0, seed=SEED), empty)
     out = tmp_path / "graph"
     materialize_graph(ray.data.read_parquet(_write_docs(tmp_path, 10)),
-                      str(out))
-    assert all((out / d).is_dir() for d in GRAPH_DIRS)
-    with pytest.raises(FileNotFoundError, match="triples"):
-        materialize_graph(ray.data.read_parquet(str(empty)), str(out))
-    assert not any((out / d).exists() for d in GRAPH_DIRS)
+                      str(out), with_entities=with_entities)
+    _, full = _graph_rows(out)
+    want = {d: pq.read_schema(full[d][0]) for d in GRAPH_DIRS}
+
+    materialize_graph(ray.data.read_parquet(str(empty)), str(out),
+                      with_entities=with_entities)
+    for d in GRAPH_DIRS:
+        files = glob.glob(os.path.join(str(out), d, "**", "*.parquet"),
+                          recursive=True)
+        assert len(files) == 1, (d, files)
+        table = pq.read_table(files[0])
+        assert table.num_rows == 0, d
+        assert table.schema.equals(want[d]), (d, table.schema)
+
+
+def test_cli_graph_mode_on_empty_input_exits_zero(
+    ray_session, monkeypatch, tmp_path
+):
+    """``--mode graph`` over a 0-row Parquet input exits 0 and leaves
+    the three tables, each one 0-row file."""
+    import ray
+
+    from openie_with_entities_ray import cli
+    from openie_with_entities_ray.sources.source_docs import (
+        synthetic_source_docs_table,
+    )
+
+    empty = tmp_path / "empty.parquet"
+    pq.write_table(synthetic_source_docs_table(0, seed=SEED), empty)
+    # the CLI shuts down the session it ran in; keep the test session's
+    monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+    out = tmp_path / "cli"
+    assert cli.main(["--mode", "graph", "--inp", str(empty),
+                     "--out", str(out)]) == 0
+    for d in GRAPH_DIRS:
+        assert pq.read_table(str(out / d)).num_rows == 0, d
 
 
 def test_cli_graph_mode_writes_the_materialize_graph_tables(

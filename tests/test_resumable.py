@@ -1,14 +1,23 @@
-"""flagship.resumable_materialize: row-group work units in one Ray
-execution, shard-level manifests.
+"""The resume protocol of stages/graph.py and its users.
 
-Parity is checked against an independent per-shard oracle: the same
-callables applied to the whole shard table in one process, with no Ray,
-no row-group split and no batching. A resume must survive a SIGKILL of
-the whole run and refuse a shard rewritten since its manifest.
+flagship.resumable_materialize: row-group work units in one Ray
+execution, shard-level manifests. Parity is checked against an
+independent per-shard oracle: the same callables applied to the whole
+shard table in one process, with no Ray, no row-group split and no
+batching. A resume must survive a SIGKILL of the whole run and refuse a
+shard rewritten since its manifest.
+
+``write_partitions``/``pending_partitions``: the one resume decision of
+every manifest-tracked job stage — skip on an unchanged input, refuse a
+changed one, rebuild everything without resume; a SIGKILLed job resumes
+to a clean run's output.
 """
 
+import glob
+import importlib.util
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -272,3 +281,275 @@ def test_resumable_materialize_survives_sigkill(ray_session, tmp_path):
         assert _part_files(out, part) == _part_files(clean, part), part
         assert _part_rows(out, part) == _part_rows(clean, part), part
     assert len(_part_files(clean, 1)) == 5
+
+
+def _job(name: str):
+    """``jobs/<name>.py`` as a module (``jobs/`` is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(REPO, "jobs", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _ids(lo: int, hi: int) -> pa.Table:
+    return pa.table({"doc_id": pa.array(range(lo, hi), pa.int64())})
+
+
+def _rewrite(path: str, table: pa.Table) -> None:
+    """Rewrite ``path`` with ``table``, its mtime moved on by a second so
+    the stamp changes whatever the file system's time resolution."""
+    st = os.stat(path)
+    _write_shard(path, table)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+
+def test_write_partitions_resume_protocol(ray_session, tmp_path):
+    """Skip on an unchanged input; refuse a rewritten, reordered or
+    extended-in-front listing and a changed parameter, building nothing;
+    build only the new partition of a listing extended at its end; a
+    manifest without a stamp resumes on its path; ``resume=False``
+    rebuilds everything."""
+    import ray.data
+
+    from openie_with_entities_ray.stages.graph import (
+        shard_lineage,
+        write_partitions,
+    )
+
+    out = tmp_path / "out"
+    built = []
+
+    def build(k: int):
+        built.append(k)
+        return ray.data.from_items([{"k": k}])
+
+    def run(listing, resume=True, param=1):
+        lineages = [{**shard_lineage(p), "param": param} for p in listing]
+        return write_partitions(str(out), lineages, build, resume=resume)
+
+    paths = [_write_shard(tmp_path / f"s{k}.parquet", _ids(k, k + 1))
+             for k in (1, 2)]
+    manifests, skipped = run(paths)
+    assert [m["partition"] for m in manifests] == [0, 1] and skipped == []
+    st = os.stat(paths[0])
+    assert manifests[0] == {
+        "partition": 0, "rows": 1, "elapsed_s": manifests[0]["elapsed_s"],
+        "input": paths[0], "stamp": [st.st_size, st.st_mtime_ns],
+        "param": 1,
+    }
+    assert json.loads(
+        (out / "_manifests" / "part-0.json").read_text()) == manifests[0]
+
+    built.clear()
+    assert run(paths) == ([], [0, 1]) and built == []
+
+    last = _write_shard(tmp_path / "s3.parquet", _ids(3, 4))
+    manifests, skipped = run(paths + [last])
+    assert [m["partition"] for m in manifests] == [2] and skipped == [0, 1]
+    assert built == [2]
+
+    first = _write_shard(tmp_path / "s0.parquet", _ids(0, 1))
+    built.clear()
+    for listing in ([first] + paths, [paths[1], paths[0]]):
+        with pytest.raises(ValueError, match="resume mismatch"):
+            run(listing)
+    with pytest.raises(ValueError, match="resume mismatch"):
+        run(paths, param=2)
+    _rewrite(paths[0], _ids(1, 2))
+    with pytest.raises(ValueError, match="resume mismatch"):
+        run(paths)
+    assert built == []
+
+    manifest = out / "_manifests" / "part-0.json"
+    meta = json.loads(manifest.read_text())
+    del meta["stamp"]
+    manifest.write_text(json.dumps(meta))
+    assert run(paths) == ([], [0, 1]) and built == []
+
+    manifests, skipped = run(paths, resume=False)
+    assert [m["partition"] for m in manifests] == [0, 1] and skipped == []
+    assert built == [0, 1]
+    st = os.stat(paths[0])
+    assert manifests[0]["stamp"] == [st.st_size, st.st_mtime_ns]
+
+
+def _dir_ids(path) -> list:
+    return sorted(
+        i for f in glob.glob(os.path.join(str(path), "**", "*.parquet"),
+                             recursive=True)
+        for i in pq.read_table(f).column("doc_id").to_pylist()
+    )
+
+
+def test_compact_job_resume_refuses_a_changed_listing(ray_session,
+                                                      tmp_path):
+    """A file that sorts first moves every unit boundary: the resume
+    refuses instead of skipping both units and losing the new file's
+    rows; ``resume=False`` rebuilds all 200 rows."""
+    compact = _job("compact_job")
+    src = tmp_path / "shards"
+    src.mkdir()
+
+    def shard(k: int) -> str:
+        return _write_shard(src / f"shard-{k}.parquet",
+                            _ids(k * 40, k * 40 + 40))
+
+    files = [shard(k) for k in range(1, 5)]
+    out = str(tmp_path / "compact")
+    assert compact.run_compact(files, out, target_rows=100) == {
+        "input_files": 4, "units": 2, "written": 2, "skipped": 0,
+    }
+    files = [shard(0)] + files
+    with pytest.raises(ValueError, match="resume mismatch"):
+        compact.run_compact(files, out, target_rows=100)
+    rebuilt = compact.run_compact(files, out, target_rows=100, resume=False)
+    assert rebuilt["written"] == 2
+    assert _dir_ids(out) == list(range(200))
+
+
+def _scrub_shard(k: int, body: str = "body") -> pa.Table:
+    return pa.table({
+        "doc_id": pa.array([k * 10 + 1, k * 10 + 2], pa.int64()),
+        "text": [f"shard {k} {body} one . click here to subscribe now .",
+                 f"shard {k} {body} two ."],
+        "lang": ["en", "en"],
+    })
+
+
+def test_scrub_job_resume_refuses_a_rewritten_shard_or_min_docs(
+    ray_session, tmp_path
+):
+    """jobs/scrub_job.py: a shard rewritten since its manifest, or a
+    resume under another ``min_docs`` whose boilerplate set is recounted,
+    is refused instead of mixing two inputs or two definitions."""
+    scrub = _job("scrub_job")
+    files = [_write_shard(tmp_path / f"docs-{k}.parquet", _scrub_shard(k))
+             for k in range(3)]
+    out = str(tmp_path / "scrub")
+    assert scrub.run_scrub(files, out, min_docs=2)["shards_written"] == 3
+    _rewrite(files[1], _scrub_shard(1, "changed"))
+    with pytest.raises(ValueError, match="resume mismatch"):
+        scrub.run_scrub(files, out, min_docs=2)
+
+    _rewrite(files[1], _scrub_shard(1))
+    out = str(tmp_path / "scrub2")
+    assert scrub.run_scrub(files, out, min_docs=2)["shards_written"] == 3
+    os.remove(os.path.join(out, "boilerplate.json"))
+    with pytest.raises(ValueError, match="resume mismatch"):
+        scrub.run_scrub(files, out, min_docs=3)
+
+
+def test_dedup_job_resume_refuses_a_rewritten_shard(ray_session,
+                                                    monkeypatch, tmp_path):
+    """jobs/dedup_job.py: a resume after a shard was rewritten since its
+    manifest fails with "resume mismatch"; an unchanged re-run skips."""
+    import ray
+
+    dedup = _job("dedup_job")
+    # main() shuts down the session it ran in and puts "." on sys.path
+    monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    src = tmp_path / "shards"
+    src.mkdir()
+
+    def docs(k: int, text: str) -> pa.Table:
+        return pa.table({"doc_id": pa.array([k, k + 100], pa.int64()),
+                         "text": [text, text]})
+
+    paths = [_write_shard(src / f"s{k}.parquet", docs(k, f"doc {k}"))
+             for k in range(2)]
+    argv = ["--input", str(src / "*.parquet"), "--out",
+            str(tmp_path / "dedup"), "--method", "exact"]
+    assert dedup.main(argv) == 0
+    assert dedup.main(argv) == 0
+    _rewrite(paths[1], docs(1, "another text"))
+    with pytest.raises(ValueError, match="resume mismatch"):
+        dedup.main(argv)
+
+
+def test_compact_job_survives_sigkill(ray_session, tmp_path):
+    """SIGKILL ``jobs/compact_job.py`` (the job process and its Ray session)
+    once its first manifest lands; the resume completes the rest, and
+    every unit equals a clean run's — rows and lineage — with no stale
+    file left in a rebuilt unit."""
+    compact = _job("compact_job")
+    src = tmp_path / "shards"
+    src.mkdir()
+    files = [_write_shard(src / f"shard-{k}.parquet",
+                          _ids(k * 40, k * 40 + 40)) for k in range(8)]
+    out = tmp_path / "killed"
+    mdir = out / "_manifests"
+    with open(tmp_path / "stderr.txt", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "jobs/compact_job.py", "--input",
+             str(src / "*.parquet"), "--out", str(out),
+             "--target-rows", "40"],
+            cwd=REPO, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=err,
+        )
+        try:
+            deadline = time.monotonic() + 240
+            while not (mdir.is_dir() and any(
+                n.endswith(".json") for n in os.listdir(mdir)
+            )):
+                if proc.poll() is not None:
+                    err.seek(0)
+                    pytest.fail(err.read()[-2000:])
+                assert time.monotonic() < deadline, "no manifest in time"
+                time.sleep(0.01)
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+    committed = {int(n[len("part-"):-len(".json")])
+                 for n in os.listdir(mdir) if n.endswith(".json")}
+    assert 0 < len(committed) < 8, committed  # killed mid-run
+    for part in set(range(8)) - committed:
+        stale = out / f"part={part}"
+        stale.mkdir(parents=True, exist_ok=True)
+        pq.write_table(_ids(999, 1000), stale / "stale.parquet")
+
+    resumed = compact.run_compact(files, str(out), target_rows=40)
+    assert resumed["skipped"] == len(committed)
+    assert resumed["written"] == 8 - len(committed)
+
+    clean = tmp_path / "clean"
+    compact.run_compact(files, str(clean), target_rows=40, resume=False)
+
+    def lineage(root, part: int) -> dict:
+        meta = json.loads(
+            (root / "_manifests" / f"part-{part}.json").read_text())
+        del meta["elapsed_s"]
+        return meta
+
+    for part in range(8):
+        assert _dir_ids(out / f"part={part}") == list(
+            range(part * 40, part * 40 + 40)), part
+        assert _dir_ids(out / f"part={part}") == _dir_ids(
+            clean / f"part={part}"), part
+        assert lineage(out, part) == lineage(clean, part), part
+
+
+def test_resume_goes_only_through_stages_graph():
+    """Every manifest-tracked stage of the package and the jobs resumes
+    through ``stages/graph.py:write_partitions``/``pending_partitions``:
+    outside that module nothing calls ``write_partition(`` or
+    ``check_resume(``."""
+    call = re.compile(r"\b(?:write_partition|check_resume)\(")
+    files = sorted(
+        glob.glob(os.path.join(REPO, "openie_with_entities_ray", "**",
+                               "*.py"), recursive=True)
+        + glob.glob(os.path.join(REPO, "jobs", "*.py"))
+    )
+    assert len(files) > 30
+    hits = []
+    for path in files:
+        rel = os.path.relpath(path, REPO)
+        if rel == os.path.join("openie_with_entities_ray", "stages",
+                               "graph.py"):
+            continue
+        with open(path, encoding="utf-8") as f:
+            hits += [f"{rel}:{i}: {line.strip()}"
+                     for i, line in enumerate(f, 1) if call.search(line)]
+    assert not hits, "\n".join(hits)
