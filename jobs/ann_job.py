@@ -21,17 +21,21 @@ Build = two deterministic steps:
 
 1. **Centroids** — :func:`ivf_centroids` over the full input glob
    (content-addressed reservoir sample + fixed Lloyd iterations).
-   Written atomically to ``out/centroids.json`` (tmp + rename); a
-   resumed run REUSES the existing file, so shards assigned before and
-   after a crash see identical centroids — without this, a resume
-   would silently mix two incompatible bucket spaces.
+   Written atomically to ``out/centroids.json`` with its lineage — the
+   input listing (``stages/graph.py:listing_digest``) and the five
+   build parameters — through ``stages/graph.py:resume_artifact``. A
+   resumed run reuses the file only when that lineage is unchanged, so
+   shards assigned before and after a crash see identical centroids; a
+   reordered, extended or shrunk listing or another parameter fails
+   with "resume mismatch" instead of mixing two bucket spaces.
 2. **Assignments** — per input shard ``k``: read → ``ivf_assign``
    against the broadcast centroids → ``out/assignments/part=<k>/``
    hive-partitioned by ``ivf_bucket`` (``ivf_bucket=<b>/*.parquet``),
    plus a manifest (``stages/graph.py:write_partitions``); a re-run
    skips every finished shard. A manifest records its shard's path and
-   stamp: a resume over a reordered, extended or rewritten listing fails
-   with "resume mismatch" (``--no-resume`` rewrites everything).
+   stamp and the centroids' lineage: a resume over a rewritten shard
+   fails with "resume mismatch" too (``--no-resume`` retrains and
+   rewrites everything).
 
 Probe never touches Ray's shuffle machinery and never reads the full
 index: it ranks buckets against the persisted centroids, GLOBS only the
@@ -50,22 +54,8 @@ import json
 import os
 import sys
 
-
-def _load_centroids(out_dir: str):
-    path = os.path.join(out_dir, "centroids.json")
-    if not os.path.isfile(path):
-        return None
-    with open(path) as f:
-        return json.load(f)
-
-
-def _store_centroids(out_dir: str, meta: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "centroids.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, path)
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from openie_with_entities_ray.cli import input_shards, ray_session  # noqa: E402
 
 
 def run_build(files, out_dir: str, *, num_centroids: int = 16,
@@ -80,64 +70,45 @@ def run_build(files, out_dir: str, *, num_centroids: int = 16,
         ivf_centroids,
     )
     from openie_with_entities_ray.stages.graph import (
+        listing_digest,
+        resume_artifact,
         shard_lineage,
         write_partitions,
     )
 
-    cent_meta = _load_centroids(out_dir) if resume else None
-    if cent_meta is not None:
-        requested = {"num_centroids": num_centroids,
-                     "sample_size": sample_size, "seed": seed,
-                     "vec_col": vec_col, "id_col": id_col}
-        stored = {k: cent_meta.get(k) for k in requested}
-        if stored != requested:
-            # Reusing a centroid set trained under different parameters
-            # would silently ignore the CLI's request, and finished
-            # assignment shards would mix two index definitions.
-            raise SystemExit(
-                f"{out_dir}/centroids.json was built with {stored} but "
-                f"this run requests {requested}; re-run with "
-                "--no-resume to retrain and rewrite every shard."
-            )
-    if cent_meta is None:
-        corpus = ray.data.read_parquet(files, columns=[id_col, vec_col])
+    def train():
         cents = ivf_centroids(
-            corpus, num_centroids, sample_size, seed,
-            vec_col=vec_col, id_col=id_col,
+            ray.data.read_parquet(files, columns=[id_col, vec_col]),
+            num_centroids, sample_size, seed, vec_col=vec_col, id_col=id_col,
         )
-        cent_meta = {
-            "centroids": cents.tolist(),
-            "num_centroids": num_centroids,
-            "sample_size": sample_size,
-            "seed": seed,
-            "vec_col": vec_col,
-            "id_col": id_col,
-            "dim": int(cents.shape[1]),
-            "input_files": len(files),
-        }
-        _store_centroids(out_dir, cent_meta)
-        trained = True
-    else:
-        trained = False
+        return {"centroids": cents.tolist(), "dim": int(cents.shape[1]),
+                "input_files": len(files)}
 
+    # a centroid set trained on other inputs or parameters would silently
+    # mix two bucket spaces across the shards assigned before and after
+    lineage = {"listing": listing_digest(files),
+               "num_centroids": num_centroids, "sample_size": sample_size,
+               "seed": seed, "vec_col": vec_col, "id_col": id_col}
+    cent_meta, trained = resume_artifact(
+        os.path.join(out_dir, "centroids.json"), lineage, train,
+        resume=resume,
+    )
     centroids = np.asarray(cent_meta["centroids"], dtype=np.float64)
 
     def assign(k: int):
-        shard = ray.data.read_parquet(
-            files[k], columns=[cent_meta["id_col"], cent_meta["vec_col"]]
-        )
-        return ivf_assign(shard, centroids, vec_col=cent_meta["vec_col"])
+        shard = ray.data.read_parquet(files[k], columns=[id_col, vec_col])
+        return ivf_assign(shard, centroids, vec_col=vec_col)
 
     manifests, skipped = write_partitions(
         os.path.join(out_dir, "assignments"),
-        [shard_lineage(path) for path in files], assign,
+        [{**shard_lineage(path), **lineage} for path in files], assign,
         resume=resume, partition_cols=["ivf_bucket"],
     )
 
     return {
         "input_files": len(files),
         "centroids_trained": trained,
-        "num_centroids": int(cent_meta["num_centroids"]),
+        "num_centroids": num_centroids,
         "shards_written": len(manifests),
         "shards_skipped": len(skipped),
     }
@@ -149,11 +120,16 @@ def run_probe(out_dir: str, query, *, k: int = 10,
     import ray.data
 
     from openie_with_entities_ray.stages.dataops import ann_topk
-    from openie_with_entities_ray.stages.graph import completed_partitions
+    from openie_with_entities_ray.stages.graph import (
+        completed_partitions,
+        resume_artifact,
+    )
 
-    cent_meta = _load_centroids(out_dir)
-    if cent_meta is None:
+    def unbuilt():
         raise SystemExit(f"no centroids.json under {out_dir!r} — run build")
+
+    cent_meta, _ = resume_artifact(os.path.join(out_dir, "centroids.json"),
+                                   {}, unbuilt, resume=True)
     assign_dir = os.path.join(out_dir, "assignments")
     shard_dirs = sorted(glob.glob(os.path.join(assign_dir, "part=*")))
     done = completed_partitions(assign_dir)
@@ -233,23 +209,9 @@ def main(argv=None) -> int:
     q.add_argument("--nprobe", type=int, default=4)
 
     args = p.parse_args(argv)
-    sys.path.insert(0, ".")
-
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False,
-                 logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-
-    try:
-        if args.cmd == "build":
-            files = sorted(glob.glob(args.input))
-            if not files:
-                print(f"no files match {args.input!r}", file=sys.stderr)
-                return 2
+    if args.cmd == "build":
+        files = input_shards(args.input)
+        with ray_session():
             report = run_build(
                 files, args.out,
                 num_centroids=args.num_centroids,
@@ -257,23 +219,18 @@ def main(argv=None) -> int:
                 vec_col=args.vec_col, id_col=args.id_col,
                 resume=not args.no_resume,
             )
+    else:
+        if bool(args.query_json) == bool(args.query_file):
+            p.error("probe needs exactly one of --query-json/--query-file")
+        if args.query_json:
+            query = json.loads(args.query_json)
         else:
-            if bool(args.query_json) == bool(args.query_file):
-                print("probe needs exactly one of --query-json/--query-file",
-                      file=sys.stderr)
-                return 2
-            if args.query_json:
-                query = json.loads(args.query_json)
-            else:
-                with open(args.query_file) as f:
-                    query = json.load(f)
-            report = run_probe(
-                args.out, query, k=args.k, nprobe=args.nprobe
-            )
-        print(json.dumps(report))
-        return 0
-    finally:
-        ray.shutdown()
+            with open(args.query_file) as f:
+                query = json.load(f)
+        with ray_session():
+            report = run_probe(args.out, query, k=args.k, nprobe=args.nprobe)
+    print(json.dumps(report))
+    return 0
 
 
 if __name__ == "__main__":

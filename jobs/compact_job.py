@@ -37,10 +37,12 @@ readers preserve per-file order), so compaction composes with
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from openie_with_entities_ray.cli import input_shards, ray_session  # noqa: E402
 
 
 def plan_units(files, target_rows: int):
@@ -94,27 +96,13 @@ def main(argv=None) -> int:
     p.add_argument("--no-resume", action="store_true",
                    help="rebuild every unit even if its manifest exists")
     args = p.parse_args(argv)
-
-    sys.path.insert(0, ".")
-
-    files = sorted(glob.glob(args.input))
-    if not files:
-        print(f"no files match {args.input!r}", file=sys.stderr)
-        return 2
-
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False,
-                 logging_level="ERROR")
-    try:
+    files = input_shards(args.input)
+    with ray_session():
         summary = run_compact(
             files, args.out, target_rows=args.target_rows,
             resume=not args.no_resume,
         )
-        print(json.dumps(summary, sort_keys=True))
-    finally:
-        ray.shutdown()
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

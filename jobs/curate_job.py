@@ -30,8 +30,12 @@ from this run's; ``--no-resume`` rebuilds everything):
    distinct hash over ALL clean shards (parquet predicate pushdown on
    ``sha_prefix``, per-batch combiner, ``exchange`` on the hash — never
    one Ray group per hash). 16 independent resumable units, each
-   recording its ``sha_prefix``.
-3. ``survivors/part=<k>`` — per shard (manifest: the shard's path):
+   recording its ``sha_prefix`` and the whole input listing
+   (``stages/graph.py:listing_digest``), so a resume over an extended
+   listing is refused instead of keeping keepers that never saw the
+   new shards.
+3. ``survivors/part=<k>`` — per shard (manifest: the shard's path and
+   the listing):
    clean rows whose doc_id IS the keeper for their hash (inner hash
    join on the hash + vectorized equality filter), i.e. cross-shard
    exact dedup applied next to the data. Empty-after-cleaning shards
@@ -53,6 +57,9 @@ import hashlib
 import json
 import os
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from openie_with_entities_ray.cli import input_shards, ray_session  # noqa: E402
 
 
 def clean_shard(shard_path: str, *, min_words: int = 20,
@@ -285,6 +292,7 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
     import ray.data
 
     from openie_with_entities_ray.stages.graph import (
+        listing_digest,
         shard_lineage,
         write_partitions,
     )
@@ -300,18 +308,14 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
             benchmark_ngrams,
         )
 
-        bench_files = sorted(glob.glob(benchmark))
-        if not bench_files:
-            raise FileNotFoundError(
-                f"no benchmark shards match {benchmark!r}"
-            )
         bench_gram_ref = ray.put(
             benchmark_ngrams(
-                ray.data.read_parquet(bench_files), n=decon_n
+                ray.data.read_parquet(input_shards(benchmark)), n=decon_n
             )
         )
 
     lineages = [shard_lineage(shard) for shard in shards]
+    listing = listing_digest(shards)
 
     # stage 1: per-shard clean (+ fused decontamination when requested)
     clean_dir = os.path.join(out_dir, "clean")
@@ -346,7 +350,8 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
 
     keep_dir = os.path.join(out_dir, "keepers")
     kept, _ = write_partitions(
-        keep_dir, [{"sha_prefix": prefix} for prefix in range(16)],
+        keep_dir,
+        [{"sha_prefix": prefix, "listing": listing} for prefix in range(16)],
         keepers, resume=resume,
     )
 
@@ -371,7 +376,9 @@ def run_curate(shards, out_dir: str, *, resume: bool = True,
     # the clean stage, which runs first over the same listing
     surv_dir = os.path.join(out_dir, "survivors")
     survived, _ = write_partitions(
-        surv_dir, [{"input": lineage["input"]} for lineage in lineages],
+        surv_dir,
+        [{"input": lineage["input"], "listing": listing}
+         for lineage in lineages],
         survivors, resume=resume,
     )
 
@@ -413,20 +420,8 @@ def main(argv=None) -> int:
     p.add_argument("--decon-n", type=int, default=5,
                    help="n-gram size for --benchmark decontamination")
     args = p.parse_args(argv)
-
-    sys.path.insert(0, ".")
-
-    shards = sorted(glob.glob(args.input))
-    if not shards:
-        print(f"no shards match {args.input!r}", file=sys.stderr)
-        return 2
-
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False,
-                 logging_level="ERROR")
-    try:
+    shards = input_shards(args.input)
+    with ray_session():
         summary = run_curate(
             shards, args.out, resume=not args.no_resume,
             min_words=args.min_words, max_words=args.max_words,
@@ -434,9 +429,7 @@ def main(argv=None) -> int:
             max_punct_permille=args.max_punct_permille,
             benchmark=args.benchmark, decon_n=args.decon_n,
         )
-        print(json.dumps(summary, sort_keys=True))
-    finally:
-        ray.shutdown()
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

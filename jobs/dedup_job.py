@@ -15,8 +15,10 @@ manifest; a re-run skips every shard whose manifest exists (pruned at
 the read — nothing upstream re-executes). Every stage goes through
 ``stages/graph.py:write_partitions``: a shard's manifest records its
 path and stamp, a band's its band, and a resume over a reordered,
-extended or rewritten listing fails with "resume mismatch"
-(``--no-resume`` rebuilds everything). Exact dedup emits
+shrunk or rewritten listing fails with "resume mismatch"
+(``--no-resume`` rebuilds everything). The global bands and survivors
+read every shard, so they also record the whole listing: a resume over
+an extended listing fails there. Exact dedup emits
 (content_sha256, keeper_id, n_docs) groups; minhash/simhash emit
 verified near-dup pairs WITHIN the shard (the resumable embarrassingly-
 parallel first stage that removes the bulk of duplicates next to the
@@ -50,7 +52,11 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import os
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from openie_with_entities_ray.cli import input_shards, ray_session  # noqa: E402
 
 # ONE source of truth for the minhash geometry: the per-shard pass and
 # the cross-shard global pass must agree or the survivor anti-joins and
@@ -85,8 +91,6 @@ def run_cross_shard(shards, out_dir: str, method: str = "minhash", *,
     Works for minhash (16 LSH bands) and simhash (4 x 16-bit bands);
     both share the shape: per-shard survivor signatures → per-band
     global pairs, manifests at each granularity."""
-    import os
-
     import pyarrow as pa
     import pyarrow.dataset as pads
     import ray
@@ -100,6 +104,7 @@ def run_cross_shard(shards, out_dir: str, method: str = "minhash", *,
         simhash_signatures,
     )
     from openie_with_entities_ray.stages.graph import (
+        listing_digest,
         shard_lineage,
         write_partitions,
     )
@@ -180,9 +185,10 @@ def run_cross_shard(shards, out_dir: str, method: str = "minhash", *,
             filter=(pads.field("band") == band),
         ))
 
+    listing = listing_digest(shards)
     bands, skipped = write_partitions(
         os.path.join(out_dir, "global"),
-        [{"band": band} for band in range(num_bands)],
+        [{"band": band, "listing": listing} for band in range(num_bands)],
         global_pairs, resume=resume,
     )
     return {
@@ -201,8 +207,6 @@ def run_emit_survivors(shards, out_dir: str, *, resume: bool = True) -> dict:
     ``out/<method>/survivors/part=<k>/`` with a manifest per shard
     (resume skips finished shards; the dropped-id table is computed once
     and reused across shards)."""
-    import os
-
     import ray.data
 
     from openie_with_entities_ray.stages.dataops import (
@@ -210,6 +214,7 @@ def run_emit_survivors(shards, out_dir: str, *, resume: bool = True) -> dict:
         near_dedup_dropped_ids,
     )
     from openie_with_entities_ray.stages.graph import (
+        listing_digest,
         shard_lineage,
         write_partitions,
     )
@@ -242,10 +247,11 @@ def run_emit_survivors(shards, out_dir: str, *, resume: bool = True) -> dict:
             )
         return docs
 
+    listing = listing_digest(shards)
     manifests, skipped = write_partitions(
         os.path.join(out_dir, "survivors"),
-        [shard_lineage(shard) for shard in shards], survivors,
-        resume=resume,
+        [{**shard_lineage(shard), "listing": listing} for shard in shards],
+        survivors, resume=resume,
     )
     return {
         "survivor_shards_written": len(manifests),
@@ -270,30 +276,12 @@ def main(argv=None) -> int:
     ap.add_argument("--no-resume", action="store_true")
     args = ap.parse_args(argv)
     if args.cross_shard and args.method not in ("minhash", "simhash"):
-        print(json.dumps({
-            "error": "--cross-shard requires --method minhash|simhash"
-        }))
-        return 1
+        ap.error("--cross-shard requires --method minhash|simhash")
     if args.emit_survivors and args.method not in ("minhash", "simhash"):
-        print(json.dumps({
-            "error": "--emit-survivors requires --method minhash|simhash "
-                     "(pair-emitting methods)"
-        }))
-        return 1
+        ap.error("--emit-survivors requires --method minhash|simhash "
+                 "(pair-emitting methods)")
+    shards = input_shards(args.input)
 
-    import os
-
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="auto" if "RAY_JOB_ID" in os.environ else "local",
-                 include_dashboard=False, ignore_reinit_error=True,
-                 logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-
-    sys.path.insert(0, ".")
     import ray.data
 
     from openie_with_entities_ray.stages.graph import (
@@ -301,46 +289,35 @@ def main(argv=None) -> int:
         write_partitions,
     )
 
-    if "://" in args.input:
-        print(json.dumps({
-            "error": "object-store URIs need a pyarrow.fs listing step; "
-                     "pass a local/NFS glob"
-        }))
-        return 1
-    shards = sorted(glob.glob(args.input))
-    if not shards:
-        print(json.dumps({"error": f"no shards match {args.input}"}))
-        return 1
-
     out_dir = os.path.join(args.out, args.method)
-    manifests, skipped = write_partitions(
-        out_dir, [shard_lineage(shard) for shard in shards],
-        lambda part: _pipeline(args.method, ray.data.read_parquet(
-            shards[part], columns=["doc_id", "text"])),
-        resume=not args.no_resume,
-    )
-    summary = {
-        "method": args.method,
-        "shards_total": len(shards),
-        "shards_skipped": len(skipped),
-        "shards_written": len(manifests),
-        "rows_written": sum(m["rows"] for m in manifests),
-        "out": out_dir,
-    }
-    if args.cross_shard:
-        summary.update(
-            run_cross_shard(
-                shards, out_dir, args.method, resume=not args.no_resume
-            )
+    with ray_session():
+        manifests, skipped = write_partitions(
+            out_dir, [shard_lineage(shard) for shard in shards],
+            lambda part: _pipeline(args.method, ray.data.read_parquet(
+                shards[part], columns=["doc_id", "text"])),
+            resume=not args.no_resume,
         )
-    if args.emit_survivors:
-        summary.update(
-            run_emit_survivors(
-                shards, out_dir, resume=not args.no_resume
+        summary = {
+            "method": args.method,
+            "shards_total": len(shards),
+            "shards_skipped": len(skipped),
+            "shards_written": len(manifests),
+            "rows_written": sum(m["rows"] for m in manifests),
+            "out": out_dir,
+        }
+        if args.cross_shard:
+            summary.update(
+                run_cross_shard(
+                    shards, out_dir, args.method, resume=not args.no_resume
+                )
             )
-        )
+        if args.emit_survivors:
+            summary.update(
+                run_emit_survivors(
+                    shards, out_dir, resume=not args.no_resume
+                )
+            )
     print(json.dumps(summary))
-    ray.shutdown()
     return 0
 
 

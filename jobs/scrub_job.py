@@ -15,18 +15,20 @@ as jobs/ann_job.py:
 1. **Frequent-sentence set** — ``frequent_sentence_hashes`` over the
    FULL input glob (sentence counting is global by definition; a
    per-shard count would miss a footer spread one-per-shard). Written
-   atomically to ``out/boilerplate.json`` (md5 hashes + parameters); a
-   resumed run REUSES the file, so shards scrubbed before and after a
-   crash are stripped against the SAME set — without this, a resume
-   would silently mix two boilerplate definitions.
+   atomically to ``out/boilerplate.json`` (md5 hashes) with its lineage
+   — the input listing (``stages/graph.py:listing_digest``) and
+   ``min_docs`` — through ``stages/graph.py:resume_artifact``. A resumed
+   run reuses the file only when both are unchanged, so shards scrubbed
+   before and after a crash are stripped against the SAME set; a
+   reordered, extended or shrunk listing or another ``--min-docs``
+   fails with "resume mismatch".
 2. **Per-shard strip** — for each input shard: read →
    ``strip_boilerplate`` against the broadcast set →
    ``out/scrubbed/part=<k>/`` (doc_id, n_kept, n_removed, clean_text)
    plus a manifest (``stages/graph.py:write_partitions``); a re-run
    skips finished shards. A manifest records its shard's path and stamp
-   and ``min_docs``: a resume over a reordered, extended or rewritten
-   listing, or under another ``--min-docs``, fails with "resume
-   mismatch" (``--no-resume`` rewrites everything).
+   and the set's lineage: a resume over a rewritten shard fails with
+   "resume mismatch" too (``--no-resume`` rewrites everything).
 
 The duplicated-SPAN scrub (``dup_span_scrub``) has no broadcast-sized
 global artifact (its duplicated-gram set is corpus-scaled), so it stays
@@ -37,27 +39,12 @@ removes the bulk of template text next to the data.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import sys
 
-
-def _load_boiler(out_dir: str):
-    path = os.path.join(out_dir, "boilerplate.json")
-    if not os.path.isfile(path):
-        return None
-    with open(path) as f:
-        return json.load(f)
-
-
-def _store_boiler(out_dir: str, meta: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "boilerplate.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, path)
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from openie_with_entities_ray.cli import input_shards, ray_session  # noqa: E402
 
 
 def run_scrub(files, out_dir: str, *, min_docs: int = 3,
@@ -69,41 +56,26 @@ def run_scrub(files, out_dir: str, *, min_docs: int = 3,
         strip_boilerplate,
     )
     from openie_with_entities_ray.stages.graph import (
+        listing_digest,
+        resume_artifact,
         shard_lineage,
         write_partitions,
     )
 
-    meta = _load_boiler(out_dir) if resume else None
-    if meta is not None and meta.get("min_docs") != min_docs:
-        # A resumed run with a DIFFERENT min_docs would recount the set
-        # while finished shards keep the OLD set — the exact
-        # mixed-definition inconsistency the persisted-set design exists
-        # to prevent. Fail loudly instead (each shard's manifest records
-        # min_docs too).
-        raise SystemExit(
-            f"{out_dir}/boilerplate.json was built with "
-            f"min_docs={meta.get('min_docs')} but this run requests "
-            f"min_docs={min_docs}; finished shards would mix two "
-            "boilerplate definitions. Re-run with --no-resume to "
-            "recount the set and rewrite every shard."
-        )
-    if meta is None:
-        corpus = ray.data.read_parquet(files)
-        hashes = frequent_sentence_hashes(corpus, min_docs=min_docs)
-        meta = {
-            "min_docs": min_docs,
-            "n_boilerplate_sentences": len(hashes),
-            "input_files": len(files),
-            "hashes": hashes,
-        }
-        _store_boiler(out_dir, meta)
-        counted = True
-    else:
-        counted = False
+    def count():
+        hashes = frequent_sentence_hashes(ray.data.read_parquet(files),
+                                          min_docs=min_docs)
+        return {"n_boilerplate_sentences": len(hashes),
+                "input_files": len(files), "hashes": hashes}
 
+    lineage = {"listing": listing_digest(files), "min_docs": min_docs}
+    meta, counted = resume_artifact(
+        os.path.join(out_dir, "boilerplate.json"), lineage, count,
+        resume=resume,
+    )
     manifests, skipped = write_partitions(
         os.path.join(out_dir, "scrubbed"),
-        [{**shard_lineage(path), "min_docs": min_docs} for path in files],
+        [{**shard_lineage(path), **lineage} for path in files],
         lambda k: strip_boilerplate(ray.data.read_parquet(files[k]),
                                     meta["hashes"]),
         resume=resume,
@@ -129,32 +101,14 @@ def main(argv=None) -> int:
     p.add_argument("--no-resume", action="store_true",
                    help="recount the set and rewrite every shard")
     args = p.parse_args(argv)
-
-    sys.path.insert(0, ".")
-
-    files = sorted(glob.glob(args.input))
-    if not files:
-        print(f"no files match {args.input!r}", file=sys.stderr)
-        return 2
-
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False,
-                 logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-
-    try:
+    files = input_shards(args.input)
+    with ray_session():
         report = run_scrub(
             files, args.out, min_docs=args.min_docs,
             resume=not args.no_resume,
         )
-        print(json.dumps(report))
-        return 0
-    finally:
-        ray.shutdown()
+    print(json.dumps(report))
+    return 0
 
 
 if __name__ == "__main__":

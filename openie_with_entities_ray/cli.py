@@ -44,14 +44,64 @@ sentence as its only split. Checkpoint flags
 (``--oie_model``/``--conj_model``) select the labeler backend: absent →
 the deterministic surrogate labeler (seeded by ``--seed``).
 
-The CLI owns its Ray session (guarded init + shutdown); library code
+The CLI owns its Ray session through :func:`ray_session`, which the
+``jobs/*.py`` entry points share with :func:`input_shards`; library code
 never initializes Ray.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import glob
+import os
 import sys
+
+
+@contextlib.contextmanager
+def ray_session(num_cpus=None):
+    """The Ray session of an entry point (this CLI and ``jobs/*.py``).
+    A session that is already up is used as it is. Under ``ray job
+    submit`` (``RAY_JOB_ID`` set) it attaches to the cluster; otherwise it
+    starts a local instance with ``num_cpus``, whose workers find the
+    package on ``PYTHONPATH``. Progress bars are off. On exit it calls
+    ``ray.shutdown`` as the ``ray`` module holds it then, so a caller that
+    keeps its session across calls can replace it."""
+    import ray
+    from ray.data import DataContext
+
+    if not ray.is_initialized() and "RAY_JOB_ID" in os.environ:
+        ray.init(address="auto", include_dashboard=False,
+                 logging_level="ERROR")
+    elif not ray.is_initialized():
+        # a local instance's workers inherit this environment: they import
+        # the package from its root whatever the working directory
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")]))
+        ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
+                 logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+    try:
+        yield
+    finally:
+        ray.shutdown()
+
+
+def input_shards(pattern: str) -> list:
+    """The sorted files a local/NFS glob matches. An object-store URI
+    (listing one needs a pyarrow.fs step) or a glob that matches nothing
+    ends the program: a message on stderr and exit status 2."""
+    if "://" in pattern:
+        problem = ("object-store URIs need a pyarrow.fs listing step; "
+                   "pass a local/NFS glob")
+    else:
+        files = sorted(glob.glob(pattern))
+        if files:
+            return files
+        problem = "no files match"
+    print(f"{pattern!r}: {problem}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None,
                    help="drop extractions below this confidence "
                         "(--mode convert; utils/readable.py analogue)")
-    p.add_argument("--inp", type=str, help="input file (or parquet for graph)")
+    p.add_argument("--inp", type=str,
+                   help="input file (for graph: a Parquet file, directory "
+                        "or glob)")
     p.add_argument("--out", type=str, help="output path prefix / directory")
     p.add_argument("--task", type=str, default="oie", choices=["oie", "conj"])
     p.add_argument("--gold", type=str, help="gold TSV for --mode eval")
@@ -536,7 +588,7 @@ def run_graph(args) -> None:
 
     from .pipelines.flagship import materialize_graph
 
-    docs = ray.data.read_parquet(args.inp)
+    docs = ray.data.read_parquet(input_shards(args.inp))
     materialize_graph(docs, args.out, seed=args.seed,
                       ent_backend=args.ent_extractor)
     print(f"Graph written to {args.out}/nodes and {args.out}/edges")
@@ -552,21 +604,7 @@ def main(argv=None) -> int:
     if args.mode == "eval" and not args.gold:
         parser.error("--mode eval requires --gold")
     needs_ray = args.mode in ("predict", "splitpredict", "graph")
-    if needs_ray:
-        import ray
-
-        if not ray.is_initialized():
-            ray.init(
-                address="local",
-                num_cpus=args.num_cpus,
-                include_dashboard=False,
-                ignore_reinit_error=True,
-                logging_level="ERROR",
-            )
-        from ray.data import DataContext
-
-        DataContext.get_current().enable_progress_bars = False
-    try:
+    with ray_session(args.num_cpus) if needs_ray else contextlib.nullcontext():
         if args.mode == "splitpredict":
             run_splitpredict(args)
         elif args.mode == "predict":
@@ -577,11 +615,6 @@ def main(argv=None) -> int:
             run_convert(args)
         elif args.mode == "graph":
             run_graph(args)
-    finally:
-        if needs_ray:
-            import ray
-
-            ray.shutdown()
     return 0
 
 

@@ -4002,20 +4002,18 @@ def frequent_sentence_hashes(
         }).drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    def count_docs(g: pd.DataFrame) -> pd.DataFrame:
-        agg = (
-            g.drop_duplicates(["sent_hash", "doc"])
-            .groupby("sent_hash")
-            .agg(ndocs=("doc", "nunique"))
-            .reset_index()
-        )
-        return agg[agg["ndocs"] >= min_docs][["sent_hash"]]
+    def count_docs(g: pd.DataFrame) -> pa.Table:
+        pairs = g.drop_duplicates(["sent_hash", "doc"])
+        ndocs = pairs["sent_hash"].value_counts()
+        # typed Arrow: a 0-row pandas frame has an untyped object column
+        return pa.table({"sent_hash": pa.array(
+            ndocs.index[ndocs >= min_docs], pa.string())})
 
     frequent = exchange(
         docs_ds.map_batches(explode, batch_format="pyarrow"), "sent_hash",
         count_docs, combine=pair_combine,
-    ).to_pandas()  # boilerplate-cardinality — the small side
-    return sorted(frequent["sent_hash"])
+    ).take_all()  # boilerplate-cardinality — the small side
+    return sorted(row["sent_hash"] for row in frequent)
 
 
 def strip_boilerplate(

@@ -40,15 +40,20 @@ k's lineage is what its manifest records of its input
 (:func:`shard_lineage`, or a unit's own key) plus the parameters its
 rows depend on. A re-run builds the partitions without a manifest and
 skips the others only once :func:`check_resume` finds their lineage
-unchanged — it raises "resume mismatch" otherwise. A manifest is
-``{partition, rows, elapsed_s}`` plus the lineage, committed by
-:func:`commit_partition`; ``elapsed_s`` is :func:`write_partition`'s
-wall time, or the sum of the unit task times in
-``resumable_materialize``.
+unchanged — it raises "resume mismatch" otherwise, as it does for a
+completed partition beyond a listing that shrank. A partition that reads
+more than its own shard also records :func:`listing_digest` of the whole
+input as ``listing``. A manifest is ``{partition, rows, elapsed_s}``
+plus the lineage, committed by :func:`commit_partition`; ``elapsed_s``
+is :func:`write_partition`'s wall time, or the sum of the unit task
+times in ``resumable_materialize``. Whole-input state that is one JSON
+document (a job's broadcast set) resumes through
+:func:`resume_artifact` under the same comparison.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -332,19 +337,64 @@ def check_resume(out_dir: str, part: int, lineage: dict) -> None:
     extended input list, a rewritten input or a changed parameter would
     otherwise keep rows built from something else. A key the manifest
     lacks (written before it was recorded) passes."""
-    try:
-        with open(_manifest_path(out_dir, part)) as f:
-            recorded = json.load(f)
-    except (OSError, ValueError):
-        recorded = {}
+    _check_lineage(f"{os.path.basename(out_dir)}/part={part}",
+                   _read_json(_manifest_path(out_dir, part)) or {}, lineage)
+
+
+def _check_lineage(what: str, recorded: dict, lineage: dict) -> None:
     for key, now in lineage.items():
         if recorded.get(key, now) != now:
             raise ValueError(
-                f"resume mismatch: {os.path.basename(out_dir)}/part={part} "
-                f"was built with {key} {recorded[key]!r} but this run has "
-                f"{now!r} — pass the original, unchanged inputs and "
-                "parameters, or rebuild without resuming"
+                f"resume mismatch: {what} was built with {key} "
+                f"{recorded[key]!r} but this run has {now!r} — pass the "
+                "original, unchanged inputs and parameters, or rebuild "
+                "with --no-resume"
             )
+
+
+def _read_json(path: str):
+    """The JSON document at ``path``, or None when there is none to read."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError):
+        return None
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` to ``path`` atomically (tmp file + rename): a crash
+    leaves either the old file or the whole new one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(doc, f)
+    os.replace(tmp, path)
+
+
+def listing_digest(paths) -> str:
+    """The ``listing`` lineage key of a stage that reads the whole input:
+    a digest of the ordered input paths, so a resume over an extended,
+    shrunk or reordered listing is refused. Each shard's stamp stays with
+    the per-shard stage that reads it."""
+    return hashlib.sha256(
+        json.dumps([str(p) for p in paths]).encode()
+    ).hexdigest()
+
+
+def resume_artifact(path: str, lineage: dict, build, *, resume: bool):
+    """Whole-input state (a JSON document built from every input at once,
+    such as a job's broadcast set) under the partitions' resume protocol:
+    on resume the document at ``path`` is reused once
+    :func:`check_resume`'s comparison accepts its recorded ``lineage``;
+    otherwise ``build()``'s dict is stored with ``lineage`` atomically.
+    Returns ``(document, built)``."""
+    doc = _read_json(path) if resume else None
+    if doc is not None:
+        _check_lineage(os.path.basename(path), doc, lineage)
+        return doc, False
+    doc = {**build(), **lineage}
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    _write_json(path, doc)
+    return doc, True
 
 
 def completed_partitions(out_dir: str) -> set:
@@ -362,8 +412,22 @@ def pending_partitions(out_dir: str, lineages, resume: bool):
     """The resume decision: ``(pending, skipped)`` partition lists for
     ``lineages[k]``, partition k's lineage. A completed partition is
     skipped only after :func:`check_resume` accepts its manifest;
-    ``resume=False`` leaves every one pending."""
-    done = completed_partitions(out_dir) if resume else set()
+    ``resume=False`` leaves every one pending. A completed partition at
+    or beyond ``len(lineages)`` (a listing that shrank) refuses the
+    resume; without resuming it is cleared."""
+    done = completed_partitions(out_dir)
+    beyond = sorted(part for part in done if part >= len(lineages))
+    if beyond and resume:
+        raise ValueError(
+            f"resume mismatch: {os.path.basename(out_dir)}/part={beyond[0]} "
+            f"was built but this run has only {len(lineages)} partitions "
+            "— pass the original, unchanged inputs, or rebuild with "
+            "--no-resume"
+        )
+    for part in beyond:
+        clear_partition(out_dir, part)
+    if not resume:
+        done = set()
     pending, skipped = [], []
     for part, lineage in enumerate(lineages):
         if part in done:
@@ -445,8 +509,5 @@ def commit_partition(out_dir: str, part: int, rows: int, elapsed_s: float,
     meta = {"partition": part, "rows": rows,
             "elapsed_s": round(elapsed_s, 3), **lineage}
     os.makedirs(os.path.join(out_dir, "_manifests"), exist_ok=True)
-    tmp = _manifest_path(out_dir, part) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, _manifest_path(out_dir, part))
+    _write_json(_manifest_path(out_dir, part), meta)
     return meta

@@ -1,10 +1,16 @@
 """CLI smoke tests: each mode driven through the real entry point in a
 subprocess (own Ray session, like a user's shell)."""
 
+import ast
+import glob
+import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SENTENCES = """Alice , Bob and Carol founded Acme Corp in New York .
 Dave , the CEO of Globex , acquired Initech .
@@ -86,6 +92,133 @@ def test_missing_args_error():
     res = run_cli("--mode", "splitpredict", "--out", "/tmp/x")
     assert res.returncode != 0
     assert "requires --inp" in res.stderr
+
+
+def test_ray_session_address(ray_session, monkeypatch):
+    """Under ``ray job submit`` (``RAY_JOB_ID`` set) the session attaches
+    to the cluster; standalone it starts a local instance with
+    ``num_cpus`` whose workers find the package on ``PYTHONPATH``; a
+    session already up is used as it is. Every exit shuts down through
+    the ``ray.shutdown`` the module holds then."""
+    import ray
+    from ray.data import DataContext
+
+    from openie_with_entities_ray import cli
+
+    DataContext.get_current()  # built once per process, under a session
+    inits, shutdowns, up = [], [], []
+    monkeypatch.setattr(ray, "is_initialized", lambda: bool(up))
+    monkeypatch.setattr(ray, "init", lambda **kw: inits.append(kw))
+    monkeypatch.setattr(ray, "shutdown", lambda: shutdowns.append(1))
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setenv("RAY_JOB_ID", "01000000")
+    with cli.ray_session(3):
+        pass
+    monkeypatch.delenv("RAY_JOB_ID")
+    with cli.ray_session(3):
+        pass
+    up.append(True)
+    with cli.ray_session(3):
+        pass
+    assert [kw["address"] for kw in inits] == ["auto", "local"]
+    assert "num_cpus" not in inits[0] and inits[1]["num_cpus"] == 3
+    assert os.environ["PYTHONPATH"] == os.pathsep.join([ROOT, "elsewhere"])
+    assert len(shutdowns) == 3
+
+
+def test_input_shards_lists_or_exits_2(tmp_path, capsys):
+    """A glob's files come back sorted; an object-store URI or a glob
+    that matches nothing exits with status 2 and a message on stderr."""
+    from openie_with_entities_ray.cli import input_shards
+
+    for name in ("b.parquet", "a.parquet"):
+        (tmp_path / name).write_bytes(b"")
+    assert input_shards(str(tmp_path / "*.parquet")) == [
+        str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")]
+    for pattern in (str(tmp_path / "*.json"), "s3://bucket/*.parquet"):
+        with pytest.raises(SystemExit) as exit_:
+            input_shards(pattern)
+        assert exit_.value.code == 2
+        assert pattern in capsys.readouterr().err
+
+
+def _ray_init_calls(path: str) -> list:
+    """Line numbers of the ``ray.init(...)`` calls in ``path``."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "init"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "ray"
+    ]
+
+
+def test_entry_points_open_ray_only_through_ray_session():
+    """The CLI and every job open Ray through ``cli.ray_session`` and list
+    their input through ``cli.input_shards``: no ``ray.init(`` call in
+    ``jobs/`` or in the package outside that helper, and no job puts "."
+    on ``sys.path`` or globs ``args.input`` itself."""
+    cli_path = os.path.join(ROOT, "openie_with_entities_ray", "cli.py")
+    with open(cli_path, encoding="utf-8") as f:
+        helper = next(
+            node for node in ast.parse(f.read()).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "ray_session"
+        )
+    jobs = sorted(glob.glob(os.path.join(ROOT, "jobs", "*.py")))
+    package = glob.glob(os.path.join(ROOT, "openie_with_entities_ray", "**",
+                                     "*.py"), recursive=True)
+    assert len(jobs) == 6 and len(package) > 30
+    hits = []
+    for path in jobs + package:
+        rel = os.path.relpath(path, ROOT)
+        hits += [
+            f"{rel}:{line}: ray.init(" for line in _ray_init_calls(path)
+            if not (path == cli_path
+                    and helper.lineno <= line <= helper.end_lineno)
+        ]
+    assert _ray_init_calls(cli_path)
+    for path in jobs + [cli_path]:
+        with open(path, encoding="utf-8") as f:
+            src = f.read()
+        rel = os.path.relpath(path, ROOT)
+        hits += [f"{rel}: {needle}"
+                 for needle in ('sys.path.insert(0, ".")',
+                                "glob.glob(args.input)")
+                 if needle in src]
+        hits += [f"{rel}: no {call}"
+                 for call in ("ray_session(", "input_shards(")
+                 if call not in src]
+    assert not hits, "\n".join(hits)
+
+
+def test_job_runs_from_another_directory(tmp_path):
+    """A job started by path from another working directory, with no
+    ``PYTHONPATH``, imports the package in its driver and in its Ray
+    workers, and reads relative paths against that directory."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    for k in range(2):
+        pq.write_table(pa.table({
+            "doc_id": pa.array([k * 10, k * 10 + 1], pa.int64()),
+            "text": [f"body {k} one . click here now .",
+                     f"body {k} two . click here now ."],
+            "lang": ["en", "en"],
+        }), tmp_path / f"docs-{k}.parquet")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "jobs", "scrub_job.py"),
+         "--input", "docs-*.parquet", "--out", "out", "--min-docs", "4"],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env,
+    )
+    assert res.returncode == 0, res.stderr[-800:]
+    rep = json.loads(res.stdout.strip().splitlines()[-1])
+    assert rep["n_boilerplate_sentences"] == 1
+    assert rep["shards_written"] == 2
+    assert (tmp_path / "out" / "boilerplate.json").is_file()
 
 
 def test_compact_job_plan_and_resume(tmp_path):

@@ -3606,6 +3606,36 @@ def test_boilerplate_removal_hand_checked(ray_session):
     pd.testing.assert_frame_equal(got, got_parts)
 
 
+def test_boilerplate_removal_without_frequent_sentence(ray_session, capfd):
+    """No sentence in >= ``min_docs`` docs: every doc comes back
+    unchanged, and the counting pass emits typed Arrow, so Ray logs no
+    size-estimate error for the parts without a frequent sentence."""
+    import time
+
+    import pyarrow as pa
+    import ray.data
+
+    from openie_with_entities_ray.stages.dataops import (
+        remove_boilerplate_sentences,
+    )
+
+    texts = {1: "alpha body one . shared line .",
+             2: "beta body two . shared line .",
+             3: "gamma body three ."}
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(list(texts), pa.int64()),
+        "text": pa.array(list(texts.values()), pa.string()),
+        "lang": pa.array(["en"] * 3, pa.string()),
+    }))
+    got = {
+        r["doc_id"]: (r["n_removed"], r["clean_text"])
+        for r in remove_boilerplate_sentences(ds, min_docs=3).take_all()
+    }
+    assert got == {i: (0, t) for i, t in texts.items()}
+    time.sleep(2)  # worker logs reach the driver asynchronously
+    assert "Error calculating size" not in "".join(capfd.readouterr())
+
+
 def test_dup_span_scrub_hand_checked(ray_session):
     """Spans from duplicated 5-grams coalesce (overlapping AND touching
     hits merge into one maximal span), within-doc repeats count toward

@@ -348,10 +348,11 @@ def test_write_partitions_resume_protocol(ray_session, tmp_path):
     manifests, skipped = run(paths + [last])
     assert [m["partition"] for m in manifests] == [2] and skipped == [0, 1]
     assert built == [2]
+    paths.append(last)
 
     first = _write_shard(tmp_path / "s0.parquet", _ids(0, 1))
     built.clear()
-    for listing in ([first] + paths, [paths[1], paths[0]]):
+    for listing in ([first] + paths, [paths[1], paths[0], paths[2]]):
         with pytest.raises(ValueError, match="resume mismatch"):
             run(listing)
     with pytest.raises(ValueError, match="resume mismatch"):
@@ -365,13 +366,119 @@ def test_write_partitions_resume_protocol(ray_session, tmp_path):
     meta = json.loads(manifest.read_text())
     del meta["stamp"]
     manifest.write_text(json.dumps(meta))
-    assert run(paths) == ([], [0, 1]) and built == []
+    assert run(paths) == ([], [0, 1, 2]) and built == []
 
     manifests, skipped = run(paths, resume=False)
-    assert [m["partition"] for m in manifests] == [0, 1] and skipped == []
-    assert built == [0, 1]
+    assert [m["partition"] for m in manifests] == [0, 1, 2]
+    assert skipped == [] and built == [0, 1, 2]
     st = os.stat(paths[0])
     assert manifests[0]["stamp"] == [st.st_size, st.st_mtime_ns]
+
+
+def test_write_partitions_refuses_a_shrunk_listing(ray_session, tmp_path):
+    """A completed partition beyond a listing that shrank refuses the
+    resume, building nothing; ``resume=False`` clears it with its files
+    and rebuilds the listed partitions."""
+    import ray.data
+
+    from openie_with_entities_ray.stages.graph import (
+        shard_lineage,
+        write_partitions,
+    )
+
+    out = tmp_path / "out"
+    built = []
+
+    def build(k: int):
+        built.append(k)
+        return ray.data.from_items([{"k": k}])
+
+    paths = [_write_shard(tmp_path / f"s{k}.parquet", _ids(k, k + 1))
+             for k in range(3)]
+    lineages = [shard_lineage(p) for p in paths]
+    write_partitions(str(out), lineages, build, resume=True)
+    built.clear()
+    with pytest.raises(ValueError, match="resume mismatch"):
+        write_partitions(str(out), lineages[:2], build, resume=True)
+    assert built == []
+    assert (out / "_manifests" / "part-2.json").exists()
+
+    manifests, skipped = write_partitions(str(out), lineages[:2], build,
+                                          resume=False)
+    assert [m["partition"] for m in manifests] == [0, 1] and skipped == []
+    assert not (out / "_manifests" / "part-2.json").exists()
+    assert not (out / "part=2").exists()
+    assert write_partitions(str(out), lineages[:2], build,
+                            resume=True) == ([], [0, 1])
+
+
+def _prose(tag: str) -> str:
+    return (f"the {tag} sat on the mat and the dog lay by the door "
+            f"while the sun was high in the sky today")
+
+
+def _vectors(k: int) -> pa.Table:
+    import numpy as np
+
+    rows = np.random.default_rng(k).normal(size=(30, 4))
+    return pa.table({
+        "vec_id": pa.array(range(k * 30, k * 30 + 30), pa.int64()),
+        "embedding": pa.array(rows.tolist(), pa.list_(pa.float64())),
+    })
+
+
+_EXTENDED = {
+    # job: (shard k's table, run(job module, files, out, resume))
+    "curate": (
+        lambda k: pa.table({"doc_id": pa.array([k], pa.int64()),
+                            "text": [_prose(f"cat{k}")], "lang": ["en"]}),
+        lambda job, files, out, resume: job.run_curate(
+            files, out, resume=resume),
+    ),
+    "scrub": (
+        # "a ." is in every doc, "b ." in one doc of shard 1 and both of
+        # shard 2: at min_docs 3 the third shard makes "b ." frequent too
+        lambda k: pa.table({
+            "doc_id": pa.array([10 * k, 10 * k + 1], pa.int64()),
+            "text": [f"x{k} . a ." + (" b ." if k else ""),
+                     f"y{k} . a ." + (" b ." if k == 2 else "")],
+            "lang": ["en", "en"],
+        }),
+        lambda job, files, out, resume: job.run_scrub(
+            files, out, min_docs=3, resume=resume),
+    ),
+    "ann": (
+        _vectors,
+        lambda job, files, out, resume: job.run_build(
+            files, out, num_centroids=2, sample_size=32, resume=resume),
+    ),
+    "dedup": (
+        lambda k: pa.table({"doc_id": pa.array([k], pa.int64()),
+                            "text": [_prose(f"cat{k}")]}),
+        lambda job, files, out, resume: job.run_cross_shard(
+            files, out, "simhash", resume=resume),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTENDED))
+def test_whole_input_state_refuses_an_extended_listing(ray_session,
+                                                        tmp_path, name):
+    """A shard added to the listing changes what every whole-input stage
+    read: curate's keepers and survivors, scrub's boilerplate set, ann's
+    centroids, dedup's global bands. The resume refuses with "resume
+    mismatch" instead of keeping state built without the new shard;
+    without resuming the output equals a clean run's."""
+    table, run = _EXTENDED[name]
+    job = _job(f"{name}_job")
+    files = [_write_shard(tmp_path / f"s{k}.parquet", table(k))
+             for k in range(3)]
+    out = str(tmp_path / "out")
+    run(job, files[:2], out, True)
+    with pytest.raises(ValueError, match="resume mismatch"):
+        run(job, files, out, True)
+    assert run(job, files, out, False) == run(
+        job, files, str(tmp_path / "clean"), True)
 
 
 def _dir_ids(path) -> list:
