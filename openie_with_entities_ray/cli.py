@@ -362,10 +362,9 @@ class _LabelProjector:
     original word positions (O11) on WORKERS; the driver only renders."""
 
     def __init__(self, seed: int, labeler_spec=None):
-        from .state.labeler import DeterministicLabeler, make_labeler
+        from .state.labeler import make_labeler
 
-        self.labeler = (make_labeler(labeler_spec) if labeler_spec
-                        else DeterministicLabeler(seed=seed))
+        self.labeler = make_labeler(labeler_spec, seed)
 
     def __call__(self, batch):
         import pyarrow as pa

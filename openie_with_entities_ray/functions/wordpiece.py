@@ -18,8 +18,8 @@ continuations) plus the reference's sentence-encoding contract
 
 No torch/HF dependency: the vocab is a plain token→id dict (load a real
 ``vocab.txt`` with :func:`load_vocab` when one exists). With this kernel
-in place the ``TorchGridLabeler`` slot (state/labeler.py) is reduced to
-the BERT forward pass alone.
+in place the ``GridLabeler`` slot (state/labeler.py) is reduced to the
+BERT forward pass alone.
 """
 
 from __future__ import annotations

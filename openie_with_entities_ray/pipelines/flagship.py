@@ -192,18 +192,15 @@ def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
     )
     merge_partials(partials).write_parquet(f"{out_dir}/nodes")
     if not os.path.isdir(os.path.join(out_dir, "triples")):
-        # no batch yielded a triple: each table becomes one 0-row file,
-        # its schema the one the same callables give a non-empty run
-        triples, edges = _graph_batch(
-            _extractor(seed, with_entities, ent_backend),
-            schemas.SOURCE_DOCS.empty_table(),
-        )
-        nodes = canonical.finalize(
-            canonical.merge(canonical._partial_counts(triples))
-        )
-        for sub, table in zip(GRAPH_TABLES, (triples, edges, nodes)):
+        # no batch yielded a triple: each table becomes one 0-row file of
+        # the schema its producer declares
+        triples = (schemas.ENTITY_TRIPLES if with_entities
+                   else schemas.TRIPLES)
+        for sub, schema in zip(GRAPH_TABLES,
+                               (triples, schemas.EDGES, schemas.NODES)):
             os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-            pq.write_table(table, os.path.join(out_dir, sub, "empty.parquet"))
+            pq.write_table(schema.empty_table(),
+                           os.path.join(out_dir, sub, "empty.parquet"))
 
 
 # A row group splits into at most this many work units, each a run of

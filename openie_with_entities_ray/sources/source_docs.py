@@ -19,6 +19,8 @@ import hashlib
 
 import pyarrow as pa
 
+from ..schemas import SOURCE_DOCS
+
 
 def read_source_docs(sf_dir: str, columns=None, num_blocks: int | None = None,
                      replicate: int = 1):
@@ -140,12 +142,15 @@ def synthetic_doc(i: int, seed: int = 42):
     }
 
 
+def _docs_table(ids, seed: int) -> pa.Table:
+    """``schemas.SOURCE_DOCS`` rows of the synthetic docs ``ids``."""
+    rows = [synthetic_doc(i, seed) for i in ids]
+    return pa.table({k: [r[k] for r in rows] for k in SOURCE_DOCS.names},
+                    schema=SOURCE_DOCS)
+
+
 def synthetic_source_docs_table(n: int, seed: int = 42) -> pa.Table:
-    rows = [synthetic_doc(i, seed) for i in range(n)]
-    cols = ("repo", "path", "commit", "lang", "content")
-    return pa.table(
-        {k: pa.array([r[k] for r in rows], pa.string()) for k in cols}
-    )
+    return _docs_table(range(n), seed)
 
 
 def synthetic_source_docs(n: int, seed: int = 42, parallelism: int = 8):
@@ -155,14 +160,7 @@ def synthetic_source_docs(n: int, seed: int = 42, parallelism: int = 8):
     import ray.data
 
     def gen(batch: pa.Table) -> pa.Table:
-        ids = batch.column("id").to_pylist()
-        rows = [synthetic_doc(i, seed) for i in ids]
-        return pa.table(
-            {
-                k: pa.array([r[k] for r in rows], pa.string())
-                for k in ("repo", "path", "commit", "lang", "content")
-            }
-        )
+        return _docs_table(batch.column("id").to_pylist(), seed)
 
     return ray.data.range(n, override_num_blocks=parallelism).map_batches(
         gen, batch_format="pyarrow"

@@ -25,6 +25,7 @@ from collections import Counter
 
 import pyarrow as pa
 
+from .. import schemas
 from .exchange import exchange
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -139,23 +140,15 @@ def merge(g: pa.Table) -> pa.Table:
 
 
 def finalize(batch: pa.Table) -> pa.Table:
-    """Merged rows → nodes table rows (node ids assigned)."""
+    """Merged rows → ``schemas.NODES`` rows (node ids assigned)."""
     norms = batch.column("surface_norm").to_pylist()
     is_ent = batch.column("is_ent").to_pylist()
-    return pa.table(
-        {
-            # entity rows keep the linked id verbatim (the id the
-            # edge endpoints carry); surface rows content-address
-            "node_id": pa.array(
-                [n if e else canonical_id(n)
-                 for n, e in zip(norms, is_ent)],
-                pa.string(),
-            ),
-            "surface_norm": batch.column("surface_norm"),
-            "surface": batch.column("surface"),
-            "n_mentions": batch.column("n_mentions"),
-        }
-    )
+    return schemas.rows(schemas.NODES, batch, None, {
+        # entity rows keep the linked id verbatim (the id the edge
+        # endpoints carry); surface rows content-address
+        "node_id": [n if e else canonical_id(n)
+                    for n, e in zip(norms, is_ent)],
+    })
 
 
 def merge_partials(partials_ds, num_parts: int | None = None):

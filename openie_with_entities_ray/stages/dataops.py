@@ -637,17 +637,21 @@ def minhash_candidate_pairs(
         docs_ds, num_perm=num_perm, num_bands=num_bands, text_col=text_col,
         id_col=id_col, seed=seed,
     )
-    return _verify_signature_pairs(
+    return minhash_band_pairs(
         sigs, num_perm=num_perm, threshold=threshold, id_col=id_col
     )
 
 
-def _verify_signature_pairs(sigs, *, num_perm, threshold, id_col):
-    """Shared verify stage over a signature table: ``exchange`` on the
-    bucket, in-part pair extraction with signature-agreement verification →
-    distinct pairs. Consumed by the one-shot
-    :func:`minhash_candidate_pairs` and by the dedup job's cross-shard
-    global stage (:func:`minhash_band_pairs`)."""
+def minhash_band_pairs(sigs, *, num_perm: int = 128,
+                       threshold: float = 0.8, id_col: str = "doc_id"):
+    """Verified near-dup pairs from a signature table (columns ``id_col,
+    band, band_hash, signature``): ``exchange`` on the bucket, in-part
+    pair extraction with signature-agreement verification → distinct
+    pairs. The verify stage of the one-shot :func:`minhash_candidate_pairs`
+    and the cross-shard GLOBAL stage of the two-level dedup job
+    (jobs/dedup_job.py), where signatures are computed once per shard next
+    to the data and each band is an independent, resumable global
+    partition."""
 
     def part_pairs(group: pd.DataFrame) -> pd.DataFrame:
         a_ids, b_ids, est = [], [], []
@@ -687,20 +691,6 @@ def _verify_signature_pairs(sigs, *, num_perm, threshold, id_col):
     pairs = exchange(sigs, ["band", "band_hash"], part_pairs)
     # same pair can surface from several bands → distinct
     return distinct_pairs(pairs, "est_permille", how="max")
-
-
-def minhash_band_pairs(sig_ds, *, num_perm: int = 128,
-                       threshold: float = 0.8, id_col: str = "doc_id"):
-    """Verified near-dup pairs from an EXISTING signature table (columns
-    ``id_col, band, band_hash, signature``) — the cross-shard GLOBAL
-    stage of the two-level dedup job (jobs/dedup_job.py): signatures are
-    computed once per shard next to the data, then each band is an
-    independent, resumable global partition; this function handles one
-    such slice. Same exchange and verify kernel as the one-shot
-    pipeline."""
-    return _verify_signature_pairs(
-        sig_ds, num_perm=num_perm, threshold=threshold, id_col=id_col
-    )
 
 
 def dup_pair_components(pairs_ds):

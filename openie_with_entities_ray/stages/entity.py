@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from .. import schemas
 from ..state.ner import DictionaryNER
 
 
 class EntityTagger:
-    """triples → triples + (subj_ents, subj_types, obj_ents, obj_types,
-    rel_ents, c1..c4 violation flags)."""
+    """triples → triples + ``schemas.ENTITY_FIELDS`` (subj_ents,
+    subj_types, obj_ents, obj_types, rel_ents, c1..c4 violation flags)."""
 
     _CACHE_LIMIT = 200_000
 
@@ -107,17 +108,12 @@ class EntityTagger:
                         break
             c4.append(seg)
 
-        cols = {name: batch.column(name) for name in batch.column_names}
-        cols["subj_ents"] = pa.array(subj_ids, pa.list_(pa.string()))
-        cols["subj_types"] = pa.array(subj_types, pa.list_(pa.string()))
-        cols["obj_ents"] = pa.array(obj_ids, pa.list_(pa.string()))
-        cols["obj_types"] = pa.array(obj_types, pa.list_(pa.string()))
-        cols["rel_ents"] = pa.array(rel_ids, pa.list_(pa.string()))
-        cols["viol_c1"] = pa.array(c1, pa.bool_())
-        cols["viol_c2"] = pa.array(c2, pa.bool_())
-        cols["viol_c3"] = pa.array(c3, pa.bool_())
-        cols["viol_c4"] = pa.array(c4, pa.bool_())
-        return pa.table(cols)
+        schema = pa.schema(list(batch.schema) + schemas.ENTITY_FIELDS)
+        return schemas.rows(schema, batch, None, {
+            "subj_ents": subj_ids, "subj_types": subj_types,
+            "obj_ents": obj_ids, "obj_types": obj_types, "rel_ents": rel_ids,
+            "viol_c1": c1, "viol_c2": c2, "viol_c3": c3, "viol_c4": c4,
+        })
 
 
 class EntityBaselineFilter:
@@ -173,7 +169,8 @@ class FusedExtractorWithEntities:
     """Extraction + entity tagging in ONE kernel: composing the two stages
     in-process removes an object-store boundary (~350 MB of triples per
     million docs would otherwise round-trip through plasma between two
-    operators) and holds one labeler and one NER per worker process."""
+    operators) and holds one labeler and one NER per worker process.
+    Emits ``schemas.ENTITY_TRIPLES``."""
 
     def __init__(self, seed: int = 777, num_extractions: int = 5,
                  no_lt: bool = False, backend: str = "dictionary",

@@ -20,8 +20,8 @@ SURVEY.md J1/J2) that tests compare the fused kernel against.
 
 :func:`map_kernel` is the package's one host for a kernel class: it
 runs the class as Ray Data tasks, building its state once per worker
-process per call in ``__init__`` (the slot where a ``TorchGridLabeler``
-would load BERT weights, the reference's run.py:46-51), and the task
+process per call in ``__init__`` (where a ``GridLabeler`` loads its
+``.npz`` weights, the reference's run.py:46-51), and the task
 pool's worker processes are reused across executions instead of an
 actor pool being spawned for each one.
 """
@@ -33,16 +33,10 @@ from collections import OrderedDict
 
 import pyarrow as pa
 
+from .. import schemas
 from ..functions.conjunctions import decode_coordinations, split_on_coordinations
-from ..functions.triples import (
-    decode_sentence_triples,
-    dedup_exact,
-    dedup_near,
-    top_k,
-)
-from ..state.labeler import DeterministicLabeler, make_labeler
-
-_SENT_KEY_COLS = ("repo", "path", "commit", "content_sha256", "sent_id")
+from ..functions.triples import decode_sentence_triples, dedup_exact, top_k
+from ..state.labeler import make_labeler
 
 # kernels of the last few map_kernel calls that ran in this process (one
 # plan may chain kernel stages, e.g. resize_images after decode_media,
@@ -107,52 +101,54 @@ def _split_sentence_rows(labeler, sentence: str, with_indices: bool = False):
             [sorted(ix) for ix in indices] if with_indices else None)
 
 
+def _triple_cols(found) -> dict:
+    """The ``schemas.TRIPLE_FIELDS`` columns of ``(depth, Triple)`` pairs."""
+    return {
+        "depth": [d for d, _ in found],
+        "arg1": [t.arg1 for _, t in found],
+        "rel": [t.rel for _, t in found],
+        "arg2": [t.arg2 for _, t in found],
+        "confidence": [t.confidence for _, t in found],
+    }
+
+
 class ConjSplitter:
-    """sentences → split_sentences (SPLIT_SENTENCES schema).
+    """sentences → split_sentences (``schemas.SPLIT_SENTENCES``).
 
     The split-only kernel: ``predict --task conj`` and the
     ``q_conj_splits*`` queries need each split as a row, with no OIE
     labeling, which :class:`FusedExtractor` never emits."""
 
     def __init__(self, seed: int = 777, labeler_spec: dict | None = None):
-        self.labeler = (make_labeler(labeler_spec) if labeler_spec
-                        else DeterministicLabeler(seed=seed))
+        self.labeler = make_labeler(labeler_spec, seed)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = {c: batch.column(c).to_pylist() for c in _SENT_KEY_COLS}
-        sentences = batch.column("sentence").to_pylist()
-        out = {c: [] for c in _SENT_KEY_COLS}
-        out_split_id, out_split, out_orig, out_conj, out_idx = [], [], [], [], []
-        for row_idx, sentence in enumerate(sentences):
+        src, split_ids, split_sents, origs, conj, idx = [], [], [], [], [], []
+        for row_idx, sentence in enumerate(batch.column("sentence").to_pylist()):
             splits, conj_words, indices = _split_sentence_rows(
                 self.labeler, sentence, with_indices=True
             )
-            for split_id, split_sentence in enumerate(splits):
-                for c in _SENT_KEY_COLS:
-                    out[c].append(keys[c][row_idx])
-                out_split_id.append(split_id)
-                out_split.append(split_sentence)
-                out_orig.append(sentence)
-                out_conj.append(conj_words)
-                out_idx.append(indices[split_id])
-        return pa.table(
-            {
-                "repo": pa.array(out["repo"], pa.string()),
-                "path": pa.array(out["path"], pa.string()),
-                "commit": pa.array(out["commit"], pa.string()),
-                "content_sha256": pa.array(out["content_sha256"], pa.string()),
-                "sent_id": pa.array(out["sent_id"], pa.int64()),
-                "split_id": pa.array(out_split_id, pa.int64()),
-                "split_sentence": pa.array(out_split, pa.string()),
-                "orig_sentence": pa.array(out_orig, pa.string()),
-                "conj_words": pa.array(out_conj, pa.list_(pa.string())),
-                "split_indices": pa.array(out_idx, pa.list_(pa.int64())),
-            }
-        )
+            n = len(splits)
+            src += [row_idx] * n
+            split_ids += range(n)
+            split_sents += splits
+            origs += [sentence] * n
+            conj += [conj_words] * n
+            idx += indices
+        return schemas.rows(schemas.SPLIT_SENTENCES, batch, src, {
+            "split_id": split_ids, "split_sentence": split_sents,
+            "orig_sentence": origs, "conj_words": conj, "split_indices": idx,
+        })
+
+
+# the input columns OIEExtractor carries onto its triples, when present
+_OIE_CARRIED = ("repo", "path", "commit", "content_sha256", "sent_id",
+                "orig_sentence", "split_id")
 
 
 class OIEExtractor:
-    """split_sentences → raw triples (before per-sentence dedup/top-k).
+    """split_sentences → raw triples (before per-sentence dedup/top-k):
+    the input's carried columns plus ``schemas.TRIPLE_FIELDS``.
 
     Emits every valid extraction with its (split_id, depth) so a grouped
     dedup stage can reproduce the reference's first-wins order even when
@@ -164,49 +160,27 @@ class OIEExtractor:
 
     def __init__(self, seed: int = 777, no_lt: bool = False,
                  labeler_spec: dict | None = None):
-        self.labeler = (make_labeler(labeler_spec) if labeler_spec
-                        else DeterministicLabeler(seed=seed))
+        self.labeler = make_labeler(labeler_spec, seed)
         self.no_lt = no_lt
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        carry_cols = [
-            c
-            for c in batch.column_names
-            if c in _SENT_KEY_COLS + ("orig_sentence", "split_id")
-        ]
-        carried = {c: batch.column(c).to_pylist() for c in carry_cols}
+        src, found = [], []
         splits = batch.column("split_sentence").to_pylist()
-        out = {c: [] for c in carry_cols}
-        out_depth, out_a1, out_rel, out_a2, out_conf = [], [], [], [], []
         for row_idx, split_sentence in enumerate(splits):
-            rows, confs = self.labeler.label_oie(split_sentence)
-            for depth, triple in decode_sentence_triples(
-                rows, confs, split_sentence, no_lt=self.no_lt
-            ):
-                for c in carry_cols:
-                    out[c].append(carried[c][row_idx])
-                out_depth.append(depth)
-                out_a1.append(triple.arg1)
-                out_rel.append(triple.rel)
-                out_a2.append(triple.arg2)
-                out_conf.append(triple.confidence)
-        # type carried columns from the INPUT schema: an inferred
-        # pa.array([]) is null-typed, and one zero-triple batch would
-        # corrupt the Dataset schema (round-4 mixed-block hazard)
-        cols = {
-            c: pa.array(out[c], type=batch.schema.field(c).type)
-            for c in carry_cols
-        }
-        cols["depth"] = pa.array(out_depth, pa.int64())
-        cols["arg1"] = pa.array(out_a1, pa.string())
-        cols["rel"] = pa.array(out_rel, pa.string())
-        cols["arg2"] = pa.array(out_a2, pa.string())
-        cols["confidence"] = pa.array(out_conf, pa.float64())
-        return pa.table(cols)
+            labels, confs = self.labeler.label_oie(split_sentence)
+            decoded = decode_sentence_triples(
+                labels, confs, split_sentence, no_lt=self.no_lt
+            )
+            src += [row_idx] * len(decoded)
+            found += decoded
+        carried = [f for f in batch.schema if f.name in _OIE_CARRIED]
+        schema = pa.schema(carried + schemas.TRIPLE_FIELDS)
+        return schemas.rows(schema, batch, src, _triple_cols(found))
 
 
 class FusedExtractor:
-    """sentences → final per-sentence triples, dedup + top-k in-stage.
+    """sentences → final per-sentence triples (``schemas.TRIPLES``),
+    dedup + top-k in-stage.
 
     The unit of work is one original sentence row, so all cross-split state
     the reference keeps in driver dicts (mapping, conj_word_mapping,
@@ -219,14 +193,11 @@ class FusedExtractor:
         seed: int = 777,
         num_extractions: int = 5,
         no_lt: bool = False,
-        near_dedup: bool = False,
         labeler_spec: dict | None = None,
     ):
-        self.labeler = (make_labeler(labeler_spec) if labeler_spec
-                        else DeterministicLabeler(seed=seed))
+        self.labeler = make_labeler(labeler_spec, seed)
         self.num_extractions = num_extractions
         self.no_lt = no_lt
-        self.near_dedup = near_dedup  # off by default (metric.py:426-430)
 
     def extract_one(self, sentence: str):
         """All surviving triples of one original sentence, in final order."""
@@ -241,12 +212,11 @@ class FusedExtractor:
         conj labeler split the sentence) and the surviving
         ``(split_id, depth, Triple)`` in final order. A given ``splits``
         list (a pre-split block) skips the conj labeler."""
+        indices = None
         if splits is None:
-            splits, conj_words, indices = _split_sentence_rows(
+            splits, _, indices = _split_sentence_rows(
                 self.labeler, sentence, with_indices
             )
-        else:
-            conj_words, indices = [], None
         collected = []  # (split_id, depth, Triple) in reference encounter order
         for split_id, split_sentence in enumerate(splits):
             rows, confs = self.labeler.label_oie(split_sentence)
@@ -254,80 +224,44 @@ class FusedExtractor:
                 rows, confs, split_sentence, no_lt=self.no_lt
             ):
                 collected.append((split_id, depth, triple))
-        triples = dedup_exact(t for _, _, t in collected)
-        if self.near_dedup:
-            triples = dedup_near(triples, conj_words)
-        kept = top_k(triples, self.num_extractions)
+        kept = top_k(dedup_exact(t for _, _, t in collected),
+                     self.num_extractions)
         # recover (split_id, depth) provenance for the survivors
         by_id = {id(t): (s, d) for s, d, t in collected}
         return splits, indices, [(*by_id[id(t)], t) for t in kept]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = {c: batch.column(c).to_pylist() for c in _SENT_KEY_COLS}
-        sentences = batch.column("sentence").to_pylist()
-        out = {c: [] for c in _SENT_KEY_COLS}
-        out_split, out_depth, out_orig = [], [], []
-        out_a1, out_rel, out_a2, out_conf = [], [], [], []
-        for row_idx, sentence in enumerate(sentences):
+        src, split_ids, origs, found = [], [], [], []
+        for row_idx, sentence in enumerate(batch.column("sentence").to_pylist()):
             for split_id, depth, t in self.extract_one(sentence):
-                for c in _SENT_KEY_COLS:
-                    out[c].append(keys[c][row_idx])
-                out_split.append(split_id)
-                out_depth.append(depth)
-                out_orig.append(sentence)
-                out_a1.append(t.arg1)
-                out_rel.append(t.rel)
-                out_a2.append(t.arg2)
-                out_conf.append(t.confidence)
-        return pa.table(
-            {
-                "repo": pa.array(out["repo"], pa.string()),
-                "path": pa.array(out["path"], pa.string()),
-                "commit": pa.array(out["commit"], pa.string()),
-                "content_sha256": pa.array(out["content_sha256"], pa.string()),
-                "sent_id": pa.array(out["sent_id"], pa.int64()),
-                "split_id": pa.array(out_split, pa.int64()),
-                "depth": pa.array(out_depth, pa.int64()),
-                "orig_sentence": pa.array(out_orig, pa.string()),
-                "arg1": pa.array(out_a1, pa.string()),
-                "rel": pa.array(out_rel, pa.string()),
-                "arg2": pa.array(out_a2, pa.string()),
-                "confidence": pa.array(out_conf, pa.float64()),
-            }
-        )
-
-
-TRIPLE_STRUCT = pa.struct(
-    [
-        ("depth", pa.int64()),
-        ("arg1", pa.string()),
-        ("rel", pa.string()),
-        ("arg2", pa.string()),
-        ("confidence", pa.float64()),
-    ]
-)
+                src.append(row_idx)
+                split_ids.append(split_id)
+                origs.append(sentence)
+                found.append((depth, t))
+        return schemas.rows(schemas.TRIPLES, batch, src, {
+            "split_id": split_ids, "orig_sentence": origs,
+            **_triple_cols(found),
+        })
 
 
 class SplitExtractor(FusedExtractor):
     """sentence occurrences → one row per split, carrying the split's
-    survivors of the occurrence's dedup + top-k (the CLI's output table).
+    survivors of the occurrence's dedup + top-k (``schemas.SPLIT_ROWS``,
+    the CLI's output table).
 
     A non-null ``splits`` list gives a row's pre-split sentences and skips
     the conj labeler. ``first_sid`` is carried so the ``.oie`` writer can
     merge duplicate sentences in first-seen order."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        key_cols = _SENT_KEY_COLS + ("first_sid",)
-        keys = {c: batch.column(c).to_pylist() for c in key_cols}
         sentences = batch.column("sentence").to_pylist()
         given = batch.column("splits").to_pylist()
-        out = {c: [] for c in key_cols}
-        out_split_id, out_split, out_orig, out_idx, out_triples = (
-            [], [], [], [], []
+        src, split_ids, split_sents, origs, idx, triples = (
+            [], [], [], [], [], []
         )
-        for row_idx, sentence in enumerate(sentences):
+        for row_idx, (sentence, pre) in enumerate(zip(sentences, given)):
             splits, indices, kept = self.extract_splits(
-                sentence, given[row_idx], with_indices=True
+                sentence, pre, with_indices=True
             )
             per_split = [[] for _ in splits]
             for split_id, depth, t in sorted(kept, key=lambda x: x[:2]):
@@ -335,26 +269,14 @@ class SplitExtractor(FusedExtractor):
                     {"depth": depth, "arg1": t.arg1, "rel": t.rel,
                      "arg2": t.arg2, "confidence": t.confidence}
                 )
-            for split_id, split_sentence in enumerate(splits):
-                for c in key_cols:
-                    out[c].append(keys[c][row_idx])
-                out_split_id.append(split_id)
-                out_split.append(split_sentence)
-                out_orig.append(sentence)
-                out_idx.append(indices[split_id] if indices else [])
-                out_triples.append(per_split[split_id])
-        return pa.table(
-            {
-                "repo": pa.array(out["repo"], pa.string()),
-                "path": pa.array(out["path"], pa.string()),
-                "commit": pa.array(out["commit"], pa.string()),
-                "content_sha256": pa.array(out["content_sha256"], pa.string()),
-                "sent_id": pa.array(out["sent_id"], pa.int64()),
-                "first_sid": pa.array(out["first_sid"], pa.int64()),
-                "split_id": pa.array(out_split_id, pa.int64()),
-                "split_sentence": pa.array(out_split, pa.string()),
-                "orig_sentence": pa.array(out_orig, pa.string()),
-                "split_indices": pa.array(out_idx, pa.list_(pa.int64())),
-                "triples": pa.array(out_triples, pa.list_(TRIPLE_STRUCT)),
-            }
-        )
+            n = len(splits)
+            src += [row_idx] * n
+            split_ids += range(n)
+            split_sents += splits
+            origs += [sentence] * n
+            idx += indices or [[]] * n
+            triples += per_split
+        return schemas.rows(schemas.SPLIT_ROWS, batch, src, {
+            "split_id": split_ids, "split_sentence": split_sents,
+            "orig_sentence": origs, "split_indices": idx, "triples": triples,
+        })

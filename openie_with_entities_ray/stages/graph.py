@@ -59,6 +59,7 @@ import os
 
 import pyarrow as pa
 
+from .. import schemas
 from .exchange import exchange
 
 
@@ -67,8 +68,9 @@ _EDGE_KEY = ["src", "rel", "dst"]
 
 
 def triples_to_edges(batch: pa.Table) -> pa.Table:
-    """EDGES schema: canonical src/dst from normalized arg surfaces (linked
-    entity id when the entity stage provided exactly one)."""
+    """``schemas.EDGES``: canonical src/dst from normalized arg surfaces
+    (linked entity id when the entity stage provided exactly one), the
+    triple's rel, confidence and provenance carried."""
     from .canonical import canonical_id, normalize_surface
 
     def canon(surface: str) -> str:
@@ -98,21 +100,10 @@ def triples_to_edges(batch: pa.Table) -> pa.Table:
             return ents[0]
         return canon(surface)
 
-    cols = {
-        "src": pa.array(
-            [node_of(s, e) for s, e in zip(a1, subj_ents)], pa.string()
-        ),
-        "dst": pa.array(
-            [node_of(s, e) for s, e in zip(a2, obj_ents)], pa.string()
-        ),
-        "rel": batch.column("rel"),
-        "confidence": batch.column("confidence"),
-        "repo": batch.column("repo"),
-        "path": batch.column("path"),
-        "commit": batch.column("commit"),
-        "sent_id": batch.column("sent_id"),
-    }
-    return pa.table(cols)
+    return schemas.rows(schemas.EDGES, batch, None, {
+        "src": [node_of(s, e) for s, e in zip(a1, subj_ents)],
+        "dst": [node_of(s, e) for s, e in zip(a2, obj_ents)],
+    })
 
 
 def dedup_edges(edges_ds, num_parts: int | None = None):

@@ -23,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import schemas
 from ..functions.text import (
     MAX_WORDS,
     extract_comment_text,
@@ -71,16 +72,11 @@ def _explode_batch(batch: pa.Table) -> pa.Table:
         sent_id = pos
 
     take_doc = pa.array(idx)
-    return pa.table(
-        {
-            "repo": pc.take(batch.column("repo"), take_doc),
-            "path": pc.take(batch.column("path"), take_doc),
-            "commit": pc.take(batch.column("commit"), take_doc),
-            "content_sha256": pc.take(pa.array(shas, pa.string()), take_doc),
-            "sent_id": pa.array(sent_id, pa.int64()),
-            "sentence": pc.take(norm, pa.array(keep)),
-        }
-    )
+    return schemas.rows(schemas.SENTENCES, batch, take_doc, {
+        "content_sha256": pc.take(pa.array(shas, pa.string()), take_doc),
+        "sent_id": sent_id,
+        "sentence": pc.take(norm, pa.array(keep)),
+    })
 
 
 # docs per explode batch: docs_to_sentences' Ray batches and the row-group
@@ -89,7 +85,7 @@ DOCS_BATCH = 256
 
 
 def docs_to_sentences(docs_ds, *, batch_size: int = DOCS_BATCH):
-    """source_docs Dataset → sentences Dataset (SENTENCES schema)."""
+    """source_docs Dataset → sentences Dataset (``schemas.SENTENCES``)."""
     return docs_ds.map_batches(
         _explode_batch, batch_format="pyarrow", batch_size=batch_size
     )

@@ -4,9 +4,9 @@ Replicates /root/reference/model.py:58-267 (class ``Model``, predict
 path) as pure numpy so the forward semantics are testable in this
 environment (torch is absent; the reference's checkpoints are external
 downloads, README.md:20-35). The ONLY thing torch is needed for is
-deserializing a ``.ckpt`` file — ``state/labeler.py::TorchGridLabeler``
-does that behind an import gate and hands the weight arrays to this
-engine.
+deserializing a ``.ckpt`` file — ``state/labeler.py::ckpt_to_npz`` does
+that once behind an import gate and writes the weight arrays as ``.npz``,
+which ``state/labeler.py::GridLabeler`` loads into this engine.
 
 Replicated semantics, with the reference's quirks kept on purpose:
 
@@ -289,11 +289,11 @@ class GridModel:
 
 
 # --------------------------------------------------------------------------
-# labeler adapter: plugs GridModel into the SequenceLabeler contract
+# labeler adapter: plugs GridModel into the label_oie / label_conj contract
 
 
 class NumpyGridLabeler:
-    """``SequenceLabeler`` over :class:`GridModel` forwards.
+    """``label_oie`` / ``label_conj`` over :class:`GridModel` forwards.
 
     ``label_oie`` appends the three ``[unusedK]`` marker words before
     tokenization (run.py predict prepends them to every sentence; their
@@ -369,7 +369,7 @@ def random_grid_weights(
 ) -> GridModelWeights:
     """Small random weights with the real architecture — for shape /
     semantics tests and demos (a real deployment maps a checkpoint's
-    state_dict through ``state/labeler.py::TorchGridLabeler``)."""
+    state_dict through ``state/labeler.py::ckpt_to_npz``)."""
     rng = np.random.default_rng(seed)
 
     def m(*shape):

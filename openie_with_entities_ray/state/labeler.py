@@ -3,8 +3,8 @@
 The reference hosts two BERT grid labelers (conj task: 3 depths over the
 conj label dict; oie task: 5 depths over the OIE label dict) whose weights
 are external downloads (/root/reference/README.md:20-35) and unavailable
-here. Per SURVEY.md §7.0 the engine defines a ``SequenceLabeler`` contract
-and ships :class:`DeterministicLabeler` — a seeded pure-function surrogate
+here. Per SURVEY.md §7.0 the engine defines a labeler contract (the two
+methods below) and ships :class:`DeterministicLabeler` — a seeded pure-function surrogate
 with the *same output shape*:
 
 - ``label_conj(sentence)``  -> up to 3 label rows over ``sentence.split()``
@@ -18,8 +18,10 @@ Because the surrogate is a pure function of the sentence string, the
 distributed pipeline and the single-process row-by-row oracle
 (pipelines/oracle.py) see identical labels — so the P/R>=0.95 conformance
 gate measures the *engine's* plumbing (ordering, grouping, dedup under
-shuffles), not model quality. A ``TorchGridLabeler`` replicating
-model.py:132-209 slots into the same contract when weights exist.
+shuffles), not model quality. :class:`GridLabeler` runs the numpy
+replica of model.py:132-209 (state/gridmodel.py) behind the same
+contract when weights exist (a reference ``.ckpt`` converted once by
+:func:`ckpt_to_npz`).
 
 Confidences are rounded to 2 decimals as the reference does at test time
 (model.py:477) — top-k ordering depends on this.
@@ -262,77 +264,6 @@ class DeterministicLabeler:
         return rows
 
 
-class SequenceLabeler:
-    """Contract marker: anything exposing label_oie / label_conj."""
-
-
-class TorchGridLabeler:
-    """The real-deployment slot: BERT iterative grid labeler.
-
-    The FORWARD PASS is fully implemented in numpy — ``state/gridmodel.py``
-    replicates /root/reference/model.py:132-209 (encoder split, cumulative
-    iterative layers, label-embedding feedback, whole-batch early stop,
-    the ``sum(dim=0)`` confidence quirk, 2-decimal rounding) and is
-    unit-tested with random weights in tests/test_gridmodel.py. Torch is
-    needed here ONLY to deserialize the reference's ``.ckpt`` files
-    (external downloads, README.md:20-35): ``__init__`` loads the
-    Lightning state_dict, converts every tensor to a numpy array via
-    :func:`state_dict_to_grid_weights`, and serves the ``SequenceLabeler``
-    contract through :class:`~.gridmodel.NumpyGridLabeler`.
-
-    Remaining contract notes (all enforced by the shared kernels):
-
-    - tokenization is functions/wordpiece.py ``encode_words`` (per-word
-      encode, UNK-for-empty, word_starts; data.py:294-303);
-    - sentences over 100 words or >=512 wordpieces are dropped upstream
-      (``fits_model_limits``, data.py:284-285);
-    - confidences rounded to 2 decimals at test time (model.py:477):
-      top-k ordering depends on this.
-
-    Instantiated inside a kernel's ``__init__`` (one weight load per
-    worker process, run.py:46-51 analogue). Raises ImportError in this
-    environment: torch is not installed — use DeterministicLabeler,
-    which has the same output contract.
-    """
-
-    def __init__(self, checkpoint_path: str, vocab_path: str,
-                 task: str = "oie", iterative_layers: int = 2,
-                 num_heads: int = 12):
-        try:
-            import torch
-        except ImportError as e:
-            raise ImportError(
-                "TorchGridLabeler needs torch to deserialize the "
-                "reference checkpoints (README.md:20-35); this environment "
-                "ships neither — use DeterministicLabeler, which has the "
-                "same output contract (the forward pass itself is "
-                "torch-free: state/gridmodel.py)"
-            ) from e
-        from ..functions.wordpiece import load_vocab
-        from .gridmodel import GridModel, NumpyGridLabeler
-
-        ckpt = torch.load(checkpoint_path, map_location="cpu")
-        state = ckpt.get("state_dict", ckpt)
-        weights = state_dict_to_grid_weights(
-            {k: v.numpy() for k, v in state.items()},
-            iterative_layers=iterative_layers, num_heads=num_heads,
-        )
-        model = GridModel(weights)
-        vocab = load_vocab(vocab_path)
-        self._inner = NumpyGridLabeler(
-            vocab,
-            oie_model=model if task == "oie" else None,
-            conj_model=model if task == "conj" else None,
-        )
-        self.task = task
-
-    def label_oie(self, sentence: str):
-        return self._inner.label_oie(sentence)
-
-    def label_conj(self, sentence: str):
-        return self._inner.label_conj(sentence)
-
-
 def state_dict_to_grid_weights(arrays, *, iterative_layers: int = 2,
                                num_heads: int = 12):
     """Map the reference Lightning module's state_dict (tensors already
@@ -502,14 +433,13 @@ def ckpt_to_npz(checkpoint_path: str, npz_path: str, *,
 
 class GridLabeler:
     """Torch-free real-model deployment slot: ``.npz`` weights → numpy
-    BERT forward (state/gridmodel.py) behind the ``SequenceLabeler``
-    contract. Mirrors the reference's two-model serving shape
+    BERT forward (state/gridmodel.py) behind the labeler contract
+    (``label_oie`` / ``label_conj``). Mirrors the reference's two-model serving shape
     (run.py:229-236 loads a conj checkpoint and an oie checkpoint):
     pass ``oie_weights`` / ``conj_weights`` (either may be shared).
 
     Instantiated inside a kernel's ``__init__`` — one weight load per
-    worker process, the same deployment shape as DeterministicLabeler /
-    TorchGridLabeler."""
+    worker process, the same deployment shape as DeterministicLabeler."""
 
     def __init__(self, *, vocab_path: str | None = None,
                  vocab: dict | None = None,
@@ -541,28 +471,26 @@ class GridLabeler:
         return self._inner.label_conj(sentence)
 
 
-def make_labeler(spec=None):
+def make_labeler(spec=None, seed: int = 777):
     """Labeler factory for kernel constructors: ``spec`` is a plain
     picklable dict passed as a ``map_kernel`` constructor keyword
     (stages/extract.py), resolved once per worker process in the
     kernel's ``__init__``.
 
-    - ``None`` / ``{"kind": "deterministic", "seed": 777}`` →
-      :class:`DeterministicLabeler` (the surrogate);
+    - no spec → ``DeterministicLabeler(seed=seed)`` (the surrogate);
+    - ``{"kind": "deterministic", "seed": 777}`` →
+      :class:`DeterministicLabeler` with the spec's own arguments;
     - ``{"kind": "grid", "oie_weights": "w.npz", "conj_weights":
       "w.npz", "vocab_path": "vocab.txt"}`` → :class:`GridLabeler`
-      (torch-free numpy forward);
-    - ``{"kind": "torch", "checkpoint_path": ..., "vocab_path": ...}``
-      → :class:`TorchGridLabeler` (needs torch for deserialization).
+      (torch-free numpy forward; :func:`ckpt_to_npz` converts a
+      reference ``.ckpt`` once).
     """
-    if spec is None:
-        return DeterministicLabeler()
+    if not spec:
+        return DeterministicLabeler(seed=seed)
     kind = spec.get("kind", "deterministic")
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
     if kind == "deterministic":
         return DeterministicLabeler(**kwargs)
     if kind == "grid":
         return GridLabeler(**kwargs)
-    if kind == "torch":
-        return TorchGridLabeler(**kwargs)
     raise ValueError(f"unknown labeler kind {kind!r}")

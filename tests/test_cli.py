@@ -374,12 +374,12 @@ def test_dedup_job_cross_shard_resumable(tmp_path):
 def _staged_triples(splits):
     """Per-occurrence dedup of ``splits`` by the staged kernels, an
     implementation independent of the CLI's one kernel pass."""
-    from openie_with_entities_ray.stages.extract import OIEExtractor
+    from openie_with_entities_ray.stages.extract import OIEExtractor, map_kernel
     from openie_with_entities_ray.stages.group import dedup_topk_grouped
 
-    raw = splits.drop_columns(["triples", "split_indices"]).map_batches(
-        OIEExtractor, fn_constructor_kwargs=dict(seed=777, no_lt=False),
-        batch_format="pyarrow", batch_size=512, concurrency=(1, 2),
+    raw = map_kernel(
+        splits.drop_columns(["triples", "split_indices"]), OIEExtractor,
+        batch_size=512, seed=777, no_lt=False,
     )
     return dedup_topk_grouped(raw, None)
 

@@ -17,10 +17,7 @@ from openie_with_entities_ray.state.gridmodel import (
     log_softmax,
     random_grid_weights,
 )
-from openie_with_entities_ray.state.labeler import (
-    TorchGridLabeler,
-    state_dict_to_grid_weights,
-)
+from openie_with_entities_ray.state.labeler import state_dict_to_grid_weights
 
 
 def small_model(seed=0, **kw) -> GridModel:
@@ -299,11 +296,6 @@ def test_state_dict_mapping_routes_every_tensor():
     _, ids, starts = encode("Alice founded Acme .")
     preds, confs = GridModel(w).decode_batch([ids], [starts], max_depth=5)
     assert preds.shape[0] == 1 and confs.shape[0] == 1
-
-
-def test_torch_grid_labeler_import_gate():
-    with pytest.raises(ImportError, match="DeterministicLabeler"):
-        TorchGridLabeler("/nonexistent.ckpt", "/nonexistent/vocab.txt")
 
 
 # -- torch-free .npz weights path + end-to-end flagship run ------------------

@@ -458,6 +458,51 @@ def test_staged_oie_empty_batch_keeps_schema(ray_session):
     ), out.schema
 
 
+@pytest.mark.parametrize("rows", [12, 0])
+def test_producers_emit_declared_schemas(rows):
+    """Every stage-boundary producer emits exactly the schema that
+    ``schemas.py`` declares for it, over the first ``rows`` docs of the
+    synthetic corpus (0: a 0-row batch)."""
+    import pyarrow as pa
+
+    from openie_with_entities_ray import schemas
+    from openie_with_entities_ray.sources.source_docs import (
+        synthetic_source_docs_table,
+    )
+    from openie_with_entities_ray.stages import canonical
+    from openie_with_entities_ray.stages.entity import (
+        FusedExtractorWithEntities,
+    )
+    from openie_with_entities_ray.stages.extract import (
+        ConjSplitter,
+        FusedExtractor,
+        SplitExtractor,
+    )
+    from openie_with_entities_ray.stages.graph import triples_to_edges
+    from openie_with_entities_ray.stages.sentences import _explode_batch
+
+    sents = _explode_batch(synthetic_source_docs_table(rows, seed=SEED))
+    occurrences = sents.append_column("first_sid", sents.column("sent_id"))
+    occurrences = occurrences.append_column(
+        "splits", pa.nulls(sents.num_rows, pa.list_(pa.string())))
+    triples = FusedExtractor()(sents)
+    ent_triples = FusedExtractorWithEntities()(sents)
+    produced = [
+        (schemas.SENTENCES, sents),
+        (schemas.SPLIT_SENTENCES, ConjSplitter()(sents)),
+        (schemas.TRIPLES, triples),
+        (schemas.ENTITY_TRIPLES, ent_triples),
+        (schemas.SPLIT_ROWS, SplitExtractor()(occurrences)),
+        (schemas.EDGES, triples_to_edges(triples)),
+        (schemas.EDGES, triples_to_edges(ent_triples)),
+        (schemas.NODES, canonical.finalize(
+            canonical.merge(canonical._partial_counts(ent_triples)))),
+    ]
+    for declared, out in produced:
+        assert (out.num_rows > 0) == (rows > 0), declared
+        assert out.schema.equals(declared), (declared, out.schema)
+
+
 def test_entity_graph_nodes_cover_edge_endpoints(ray_session):
     """Referential integrity: with entity linking on, every edge
     src/dst id appears in the nodes table (uniquely-linked arguments
