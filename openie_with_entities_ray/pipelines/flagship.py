@@ -12,11 +12,13 @@ Ray-Data-native splitpredict analogue (/root/reference/run.py:161-243):
 
 Everything is lazy/streaming; nothing materializes the corpus. The two
 graph writers run the same explode → extractor → edges body per docs
-batch (``_graph_batch``) inside their tasks, each in ONE Ray execution:
-``materialize_graph`` writes triples and edges from the extraction task
-and sends only the canonicalize partials through the nodes exchange;
-``resumable_materialize`` runs one task per run of an input row group,
-all pending shards together.
+batch (``_graph_batch``) inside their tasks, each in ONE Ray execution
+without Ray Data's per-operator CPU reservation
+(``stages/extract.py:unreserved``), so the extraction tasks use every
+CPU: ``materialize_graph`` reads each input block in the extraction task
+that writes its triples and edges, and sends only the canonicalize
+partials through the nodes exchange; ``resumable_materialize`` runs one
+task per run of an input row group, all pending shards together.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import pyarrow.parquet as pq
 from .. import schemas
 from ..stages import canonical
 from ..stages.canonical import canonicalize_surfaces, merge_partials
-from ..stages.extract import FusedExtractor, map_kernel
+from ..stages.extract import FusedExtractor, map_kernel, unreserved
 from ..stages.graph import (
     clear_partition,
     commit_partition,
@@ -115,23 +117,27 @@ def _graph_batch(extract, docs: pa.Table):
 
 
 class _GraphWriter:
-    """One ``DOCS_BATCH`` docs batch of :func:`materialize_graph`: its
-    triples → ``triples/<name>``, their edges → ``edges/<name>``, and
-    its ``canonical._partial_counts`` rows as the batch's output, the
-    rows the canonicalize exchange merges into nodes.
+    """One read block of :func:`materialize_graph`, in ``batch``-doc
+    slices (``DOCS_BATCH`` at call time): each slice's triples →
+    ``triples/<name>``, their edges → ``edges/<name>``, and the slices'
+    ``canonical._partial_counts`` rows, concatenated, as the block's
+    output — the rows the canonicalize exchange merges into nodes. A
+    call holds one slice's triples at a time, whatever the block size.
 
     ``<name>`` is ``<token>-<task id>-<ordinal>.parquet``: the token is
     minted once per call, the Ray task id stays the same on every retry
-    of one task, and the ordinal counts the task's batches in this
+    of one task, and the ordinal counts the task's slices in this
     process. A task retried after its worker died rewrites its own files
     instead of adding copies (Ray's Parquet datasink names files by write
-    uuid, task index and block index the same way). A batch without
+    uuid, task index and block index the same way). A slice without
     triples writes no file."""
 
     def __init__(self, out_dir: str, token: str, seed: int,
-                 with_entities: bool, ent_backend: str):
+                 with_entities: bool, ent_backend: str,
+                 batch: int = DOCS_BATCH):
         self.dirs = [os.path.join(out_dir, d) for d in ("triples", "edges")]
         self.token = token
+        self.batch = batch
         self.extract = _extractor(seed, with_entities, ent_backend)
         self.task, self.ordinal = None, 0
 
@@ -141,6 +147,14 @@ class _GraphWriter:
         task = ray.get_runtime_context().get_task_id() or "driver"
         if task != self.task:
             self.task, self.ordinal = task, 0
+        # a 0-row block still runs one (empty) slice: its typed 0-row
+        # partials keep the exchange's schema
+        return pa.concat_tables([
+            self._write_slice(task, docs.slice(start, self.batch))
+            for start in range(0, docs.num_rows or 1, self.batch)
+        ])
+
+    def _write_slice(self, task: str, docs: pa.Table) -> pa.Table:
         name = f"{self.token}-{task}-{self.ordinal}.parquet"
         self.ordinal += 1
         triples, edges = _graph_batch(self.extract, docs)
@@ -160,15 +174,24 @@ def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
     """End-to-end run: docs → ``triples/``, ``edges/`` and ``nodes/``
     Parquet in ONE Ray execution.
 
-    Each ``DOCS_BATCH`` docs batch runs in one task (``_GraphWriter``):
-    it extracts the batch's triples and writes them and their edges
-    itself, then hands on only its ``_partial_counts`` rows, which feed
-    the canonicalize exchange (``merge`` → ``finalize`` → nodes write)
-    directly. The fan-out stays scale-safe without re-reading anything:
-    the full triples and edges tables go straight to storage from the
-    task that made them, and only the partials — O(distinct surfaces per
-    batch) rows — cross the exchange. Nothing pins the triples table in
-    the object store.
+    Each read block runs in one task (``ReadParquet->
+    MapBatches(_GraphWriter)``: the read is fused into the kernel, so a
+    block is read only when a kernel is ready for it). The task extracts
+    the block's triples ``DOCS_BATCH`` docs at a time, writes them and
+    their edges itself, then hands on only its ``_partial_counts`` rows,
+    which feed the canonicalize exchange (``merge`` → ``finalize`` →
+    nodes write) directly. The fan-out stays scale-safe without
+    re-reading anything: the full triples and edges tables go straight
+    to storage from the task that made them, and only the partials —
+    O(distinct surfaces per slice) rows — cross the exchange. Nothing
+    pins the triples table in the object store.
+
+    The execution runs :func:`unreserved`: Ray Data's per-operator
+    reservation would hold a CPU for every operator of the plan, the
+    post-sort ``merge`` included, and leave the extraction one task at a
+    time. Ray does not fuse a read whose files it splits into more
+    blocks (fewer files than twice the CPUs); that read runs as its own
+    operator, at most one task per file.
 
     Stale outputs from a previous (possibly crashed) run are DELETED
     first: every call names its files with a fresh token, so without the
@@ -186,11 +209,12 @@ def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
             shutil.rmtree(path)
 
     partials = map_kernel(
-        docs_ds, _GraphWriter, batch_size=DOCS_BATCH, out_dir=out_dir,
-        token=uuid.uuid4().hex, seed=seed, with_entities=with_entities,
-        ent_backend=ent_backend,
+        docs_ds, _GraphWriter, out_dir=out_dir, token=uuid.uuid4().hex,
+        seed=seed, with_entities=with_entities, ent_backend=ent_backend,
+        batch=DOCS_BATCH,
     )
-    merge_partials(partials).write_parquet(f"{out_dir}/nodes")
+    with unreserved(docs_ds):
+        merge_partials(partials).write_parquet(f"{out_dir}/nodes")
     if not os.path.isdir(os.path.join(out_dir, "triples")):
         # no batch yielded a triple: each table becomes one 0-row file of
         # the schema its producer declares
@@ -306,9 +330,11 @@ def resumable_materialize(
     The unit of *work* is a run of rows inside one row group: every
     pending shard's row groups (read from its Parquet footer), each cut
     into at most ``UNIT_SPLIT`` runs of whole ``DOCS_BATCH`` batches, run
-    as tasks of ONE Ray execution (``_EdgeUnitWriter``). Small shards
-    share the CPUs instead of paying an execution's fixed latency floor
-    one after another, and one large row group still spreads over them.
+    as tasks of ONE Ray execution (``_EdgeUnitWriter``), run
+    :func:`unreserved` (each unit reads its own rows, so no read operator
+    can run ahead of the kernel). Small shards share the CPUs instead of
+    paying an execution's fixed latency floor one after another, and one
+    large row group still spreads over them.
     The driver commits a shard's manifest when its last unit reports, so
     checkpoints still land shard by shard; its ``elapsed_s`` is the sum
     of its units' task times. A shard without rows is committed at once
@@ -347,12 +373,14 @@ def resumable_materialize(
             with_entities=with_entities,
         )
         rows, busy = dict.fromkeys(remaining, 0), dict.fromkeys(remaining, 0.0)
-        for r in results.iter_rows():
-            part = r["part"]
-            rows[part] += r["rows"]
-            busy[part] += r["busy_s"]
-            remaining[part] -= 1
-            if not remaining[part]:
-                manifests.append(commit_partition(
-                    edges_dir, part, rows[part], busy[part], lineages[part]))
+        with unreserved(results):
+            for r in results.iter_rows():
+                part = r["part"]
+                rows[part] += r["rows"]
+                busy[part] += r["busy_s"]
+                remaining[part] -= 1
+                if not remaining[part]:
+                    manifests.append(commit_partition(
+                        edges_dir, part, rows[part], busy[part],
+                        lineages[part]))
     return sorted(manifests, key=lambda m: m["partition"]), skipped

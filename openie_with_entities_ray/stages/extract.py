@@ -23,11 +23,14 @@ runs the class as Ray Data tasks, building its state once per worker
 process per call in ``__init__`` (where a ``GridLabeler`` loads its
 ``.npz`` weights, the reference's run.py:46-51), and the task
 pool's worker processes are reused across executions instead of an
-actor pool being spawned for each one.
+actor pool being spawned for each one. :func:`unreserved` runs a kernel
+execution that feeds an exchange without Ray Data's per-operator CPU
+reservation, so the kernel's tasks can use every CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import uuid
 from collections import OrderedDict
 
@@ -81,6 +84,31 @@ def map_kernel(ds, cls, *, batch_size=None, **ctor_kwargs):
     tasks (see :func:`kernel_fn`)."""
     return ds.map_batches(kernel_fn(cls, **ctor_kwargs),
                           batch_format="pyarrow", batch_size=batch_size)
+
+
+@contextlib.contextmanager
+def unreserved(ds):
+    """Run the executions started inside on ``ds``'s ``DataContext``
+    without Ray Data's per-operator resource reservation; the previous
+    setting comes back on exit, also when the body raises.
+
+    Ray Data 2.49 reserves at least one task's worth of CPU for every
+    operator of a plan, also for one behind a sort barrier that cannot
+    start yet: a read → kernel → exchange plan on 4 CPUs keeps 3.5 CPUs
+    reserved and leaves the kernel one task at a time. Without the
+    reservation nothing holds back a standalone read operator, so the
+    plan's read must be fused into the kernel's tasks (``batch_size=None``)
+    or have no read at all (``from_items`` units that read their own rows).
+    Every Dataset derived from ``ds`` shares its context, so the flag is
+    restored on that one object, never set on ``DataContext.get_current()``.
+    """
+    ctx = ds.context
+    before = ctx.op_resource_reservation_enabled
+    ctx.op_resource_reservation_enabled = False
+    try:
+        yield
+    finally:
+        ctx.op_resource_reservation_enabled = before
 
 
 def _split_sentence_rows(labeler, sentence: str, with_indices: bool = False):

@@ -964,6 +964,156 @@ def test_graph_writer_names_files_by_task_and_batch_ordinal(
     assert sorted(os.listdir(tmp_path / "edges")) == names
 
 
+def _record_plans(monkeypatch) -> list:
+    """``(op_resource_reservation_enabled, operator names)`` of every
+    execution started while the hook is on."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    plans = []
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, dag, *args, **kwargs):
+        names, todo = [], [dag]
+        while todo:
+            op = todo.pop()
+            names.append(op.name)
+            todo.extend(op.input_dependencies)
+        plans.append(
+            (self._data_context.op_resource_reservation_enabled, names))
+        return real_execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return plans
+
+
+def test_materialize_graph_runs_unreserved_with_the_read_in_the_kernel(
+    ray_session, monkeypatch, tmp_path
+):
+    """The one execution runs without Ray Data's per-operator reservation,
+    and its read is fused into the kernel's tasks: a standalone
+    ``ReadParquet`` operator would read ahead of the kernel with nothing
+    holding it back. The caller's Dataset keeps its reservation flag.
+
+    The input has 8 files, twice the session's CPUs: Ray splits the
+    output of fewer files into more blocks, and a split read is not
+    fused."""
+    import ray.data
+
+    from openie_with_entities_ray.pipelines.flagship import (
+        materialize_graph,
+    )
+
+    docs = ray.data.read_parquet(_write_docs(tmp_path, 40, copies=4))
+    assert docs.context.op_resource_reservation_enabled
+    plans = _record_plans(monkeypatch)
+    materialize_graph(docs, str(tmp_path / "graph"))
+    assert len(plans) == 1, plans
+    reserved, names = plans[0]
+    assert reserved is False
+    assert any(n.startswith("ReadParquet->MapBatches(_GraphWriter)->")
+               for n in names), names
+    assert not [n for n in names
+                if n.startswith("ReadParquet") and "_GraphWriter" not in n]
+    assert docs.context.op_resource_reservation_enabled is True
+
+
+def test_resumable_materialize_runs_unreserved(ray_session, monkeypatch,
+                                               tmp_path):
+    """The unit execution of the graph job runs without the per-operator
+    reservation, and the session's own context is left as it was."""
+    from ray.data import DataContext
+
+    from openie_with_entities_ray.pipelines.flagship import (
+        resumable_materialize,
+    )
+
+    paths = _write_docs(tmp_path, 20)
+    plans = _record_plans(monkeypatch)
+    manifests, _ = resumable_materialize(paths, str(tmp_path / "out"))
+    assert len(manifests) == len(paths)
+    assert [reserved for reserved, _ in plans] == [False], plans
+    assert "MapBatches(_EdgeUnitWriter)" in plans[0][1]
+    assert DataContext.get_current().op_resource_reservation_enabled
+
+
+def test_unreserved_restores_the_flag_when_its_body_raises(ray_session):
+    """The helper clears the flag on the context a derived Dataset shares
+    with its source, and puts back whatever was there before, also when
+    its body raises."""
+    import ray.data
+    from ray.data import DataContext
+
+    from openie_with_entities_ray.stages.extract import unreserved
+
+    source = ray.data.range(4)
+    derived = source.map_batches(lambda b: b)
+    ctx = source.context
+    for before in (True, False):
+        ctx.op_resource_reservation_enabled = before
+        with pytest.raises(RuntimeError, match="body"):
+            with unreserved(derived):
+                assert ctx.op_resource_reservation_enabled is False
+                raise RuntimeError("body")
+        assert ctx.op_resource_reservation_enabled is before
+    assert DataContext.get_current().op_resource_reservation_enabled
+
+
+def test_reservation_flag_is_set_only_by_unreserved():
+    """``stages/extract.py:unreserved`` is the one writer of Ray Data's
+    ``op_resource_reservation_*`` settings in the package, ``jobs/``,
+    ``tools/`` and the top-level scripts — by assignment, ``setattr`` or
+    keyword — and it writes the Dataset's own context, never
+    ``DataContext.get_current()``'s."""
+    import ast
+
+    files = sorted(
+        glob.glob(os.path.join(ROOT, "openie_with_entities_ray", "**",
+                               "*.py"), recursive=True)
+        + glob.glob(os.path.join(ROOT, "jobs", "*.py"))
+        + glob.glob(os.path.join(ROOT, "tools", "*.py"))
+        + glob.glob(os.path.join(ROOT, "*.py"))
+    )
+    helper = os.path.join("openie_with_entities_ray", "stages", "extract.py")
+
+    def flag(name) -> bool:
+        return isinstance(name, str) and name.startswith(
+            "op_resource_reservation")
+
+    allowed, hits = [], []
+    for path in files:
+        rel = os.path.relpath(path, ROOT)
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        spans = [(fn.lineno, fn.end_lineno) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 and fn.name == "unreserved" and rel == helper]
+        for node in ast.walk(tree):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            writes = any(isinstance(t, ast.Attribute) and flag(t.attr)
+                         for t in targets)
+            if isinstance(node, ast.Call):
+                writes = any(flag(k.arg) for k in node.keywords) or (
+                    isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and flag(node.args[1].value))
+            if writes:
+                where = f"{rel}:{node.lineno}: {ast.unparse(node)}"
+                inside = any(a <= node.lineno <= b for a, b in spans)
+                (allowed if inside else hits).append(where)
+            if (isinstance(node, ast.Attribute) and node.attr == "get_current"
+                    and any(a <= node.lineno <= b for a, b in spans)):
+                hits.append(f"{rel}:{node.lineno}: get_current() in helper")
+    assert allowed, "unreserved no longer writes the flag"
+    assert not hits, "\n".join(hits)
+
+
 @pytest.mark.parametrize("with_entities", [False, True])
 def test_materialize_graph_empty_input_writes_empty_tables(
     ray_session, tmp_path, with_entities
