@@ -13,12 +13,12 @@ Ray-Data-native splitpredict analogue (/root/reference/run.py:161-243):
 Everything is lazy/streaming; nothing materializes the corpus. The two
 graph writers run the same explode → extractor → edges body per docs
 batch (``_graph_batch``) inside their tasks, each in ONE Ray execution
-without Ray Data's per-operator CPU reservation
-(``stages/extract.py:unreserved``), so the extraction tasks use every
-CPU: ``materialize_graph`` reads each input block in the extraction task
-that writes its triples and edges, and sends only the canonicalize
-partials through the nodes exchange; ``resumable_materialize`` runs one
-task per run of an input row group, all pending shards together.
+run through ``stages/extract.py:unreserved``: ``materialize_graph``
+maps its extraction over whole read blocks, so the read can fuse into
+the task that writes the block's triples and edges, and sends only the
+canonicalize partials through the nodes exchange;
+``resumable_materialize`` runs one task per run of an input row group,
+all pending shards together.
 """
 
 from __future__ import annotations
@@ -174,24 +174,20 @@ def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
     """End-to-end run: docs → ``triples/``, ``edges/`` and ``nodes/``
     Parquet in ONE Ray execution.
 
-    Each read block runs in one task (``ReadParquet->
-    MapBatches(_GraphWriter)``: the read is fused into the kernel, so a
-    block is read only when a kernel is ready for it). The task extracts
-    the block's triples ``DOCS_BATCH`` docs at a time, writes them and
-    their edges itself, then hands on only its ``_partial_counts`` rows,
-    which feed the canonicalize exchange (``merge`` → ``finalize`` →
-    nodes write) directly. The fan-out stays scale-safe without
-    re-reading anything: the full triples and edges tables go straight
-    to storage from the task that made them, and only the partials —
-    O(distinct surfaces per slice) rows — cross the exchange. Nothing
-    pins the triples table in the object store.
+    Each read block runs in one task (``MapBatches(_GraphWriter)``
+    without a ``batch_size``, so Ray can fuse the read into it). The task
+    extracts the block's triples ``DOCS_BATCH`` docs at a time, writes
+    them and their edges itself, then hands on only its
+    ``_partial_counts`` rows, which feed the canonicalize exchange
+    (``merge`` → ``finalize`` → nodes write) directly. The fan-out stays
+    scale-safe without re-reading anything: the full triples and edges
+    tables go straight to storage from the task that made them, and only
+    the partials — O(distinct surfaces per slice) rows — cross the
+    exchange. Nothing pins the triples table in the object store.
 
-    The execution runs :func:`unreserved`: Ray Data's per-operator
-    reservation would hold a CPU for every operator of the plan, the
-    post-sort ``merge`` included, and leave the extraction one task at a
-    time. Ray does not fuse a read whose files it splits into more
-    blocks (fewer files than twice the CPUs); that read runs as its own
-    operator, at most one task per file.
+    The execution runs inside :func:`unreserved`, which lifts Ray Data's
+    per-operator reservation only when the read is fused into
+    ``_GraphWriter``.
 
     Stale outputs from a previous (possibly crashed) run are DELETED
     first: every call names its files with a fresh token, so without the
@@ -213,8 +209,9 @@ def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
         seed=seed, with_entities=with_entities, ent_backend=ent_backend,
         batch=DOCS_BATCH,
     )
-    with unreserved(docs_ds):
-        merge_partials(partials).write_parquet(f"{out_dir}/nodes")
+    nodes = merge_partials(partials)
+    with unreserved(nodes, _GraphWriter):
+        nodes.write_parquet(f"{out_dir}/nodes")
     if not os.path.isdir(os.path.join(out_dir, "triples")):
         # no batch yielded a triple: each table becomes one 0-row file of
         # the schema its producer declares
@@ -330,9 +327,9 @@ def resumable_materialize(
     The unit of *work* is a run of rows inside one row group: every
     pending shard's row groups (read from its Parquet footer), each cut
     into at most ``UNIT_SPLIT`` runs of whole ``DOCS_BATCH`` batches, run
-    as tasks of ONE Ray execution (``_EdgeUnitWriter``), run
-    :func:`unreserved` (each unit reads its own rows, so no read operator
-    can run ahead of the kernel). Small shards share the CPUs instead of
+    as tasks of ONE Ray execution (``_EdgeUnitWriter``) inside
+    :func:`unreserved`: each unit reads its own rows, so no read operator
+    can run ahead of the kernel and the units use every CPU. Small shards share the CPUs instead of
     paying an execution's fixed latency floor one after another, and one
     large row group still spreads over them.
     The driver commits a shard's manifest when its last unit reports, so
@@ -373,7 +370,7 @@ def resumable_materialize(
             with_entities=with_entities,
         )
         rows, busy = dict.fromkeys(remaining, 0), dict.fromkeys(remaining, 0.0)
-        with unreserved(results):
+        with unreserved(results, _EdgeUnitWriter):
             for r in results.iter_rows():
                 part = r["part"]
                 rows[part] += r["rows"]

@@ -25,7 +25,8 @@ process per call in ``__init__`` (where a ``GridLabeler`` loads its
 pool's worker processes are reused across executions instead of an
 actor pool being spawned for each one. :func:`unreserved` runs a kernel
 execution that feeds an exchange without Ray Data's per-operator CPU
-reservation, so the kernel's tasks can use every CPU.
+reservation when nothing in its plan can run ahead of the kernel, so the
+kernel's tasks can use every CPU.
 """
 
 from __future__ import annotations
@@ -87,28 +88,58 @@ def map_kernel(ds, cls, *, batch_size=None, **ctor_kwargs):
 
 
 @contextlib.contextmanager
-def unreserved(ds):
-    """Run the executions started inside on ``ds``'s ``DataContext``
-    without Ray Data's per-operator resource reservation; the previous
-    setting comes back on exit, also when the body raises.
+def unreserved(ds, kernel):
+    """Run the executions of ``ds`` started inside without Ray Data's
+    per-operator resource reservation when no operator of its plan can
+    produce blocks ahead of ``kernel`` (a class run by
+    :func:`map_kernel`); otherwise the reservation stays on. The
+    previous setting comes back on exit, also when the body raises.
 
     Ray Data 2.49 reserves at least one task's worth of CPU for every
     operator of a plan, also for one behind a sort barrier that cannot
     start yet: a read → kernel → exchange plan on 4 CPUs keeps 3.5 CPUs
-    reserved and leaves the kernel one task at a time. Without the
-    reservation nothing holds back a standalone read operator, so the
-    plan's read must be fused into the kernel's tasks (``batch_size=None``)
-    or have no read at all (``from_items`` units that read their own rows).
+    reserved and leaves the kernel one task at a time. The reservation
+    is also what bounds a standalone read operator: without it, nothing
+    holds the read back and it lands the input in the object store
+    ahead of the kernel. So the flag is cleared only when ``ds``'s
+    physical plan feeds the kernel's operator straight from its input
+    buffer: its read fused into the kernel's tasks (``batch_size=None``
+    and at least twice as many input files as CPUs — Ray splits the
+    blocks of fewer files and does not fuse a split read), or no read
+    at all (``from_items`` units that read their own rows).
     Every Dataset derived from ``ds`` shares its context, so the flag is
     restored on that one object, never set on ``DataContext.get_current()``.
     """
     ctx = ds.context
     before = ctx.op_resource_reservation_enabled
-    ctx.op_resource_reservation_enabled = False
+    ctx.op_resource_reservation_enabled = before and not _kernel_leads(
+        ds, kernel)
     try:
         yield
     finally:
         ctx.op_resource_reservation_enabled = before
+
+
+def _kernel_leads(ds, kernel) -> bool:
+    """Whether the operator running ``kernel`` in ``ds``'s physical plan
+    takes its blocks only from the plan's input buffer, so everything
+    before the kernel runs inside the kernel's own tasks."""
+    from ray.data._internal.execution.operators.input_data_buffer import (
+        InputDataBuffer,
+    )
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    # planned from a plan of its own: planning replaces the plan's DAG
+    plan = LogicalPlan(ds._logical_plan.dag, ds.context)
+    todo = [get_execution_plan(plan).dag]
+    while todo:
+        op = todo.pop()
+        if f"MapBatches({kernel.__name__})" in op.name.split("->"):
+            return all(isinstance(up, InputDataBuffer)
+                       for up in op.input_dependencies)
+        todo.extend(op.input_dependencies)
+    return False
 
 
 def _split_sentence_rows(labeler, sentence: str, with_indices: bool = False):

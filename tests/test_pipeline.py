@@ -1038,26 +1038,79 @@ def test_resumable_materialize_runs_unreserved(ray_session, monkeypatch,
     assert DataContext.get_current().op_resource_reservation_enabled
 
 
-def test_unreserved_restores_the_flag_when_its_body_raises(ray_session):
+def test_materialize_graph_keeps_the_reservation_behind_a_split_read(
+    ray_session, monkeypatch, tmp_path
+):
+    """One input file is fewer than twice the CPUs: Ray splits its read
+    into blocks and does not fuse it into the kernel (CLI ``--mode graph``
+    on one file). That standalone read runs under the per-operator
+    reservation, the only thing that bounds how far it reads ahead, and
+    the outputs still equal the serial oracle in one execution."""
+    import pyarrow as pa
+    import ray.data
+
+    from openie_with_entities_ray.pipelines.flagship import (
+        materialize_graph,
+    )
+
+    paths = _write_docs(tmp_path, 40)
+    one = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.concat_tables([pq.read_table(p) for p in paths]), one)
+    plans = _record_plans(monkeypatch)
+    materialize_graph(ray.data.read_parquet(one), str(tmp_path / "graph"),
+                      with_entities=False)
+    assert len(plans) == 1, plans
+    reserved, names = plans[0]
+    assert [n for n in names
+            if n.startswith("ReadParquet") and "_GraphWriter" not in n], names
+    assert reserved is True
+    rows, _ = _graph_rows(tmp_path / "graph")
+    assert rows == _oracle_rows(_graph_oracle([one], with_entities=False))
+
+
+class _Identity:
+    """A kernel class for :func:`map_kernel` that returns its batch."""
+
+    def __call__(self, batch):
+        return batch
+
+
+def test_unreserved_clears_the_flag_only_when_the_kernel_leads(
+    ray_session, tmp_path
+):
     """The helper clears the flag on the context a derived Dataset shares
-    with its source, and puts back whatever was there before, also when
-    its body raises."""
+    with its source only when nothing in the plan runs ahead of the
+    kernel, and puts back whatever was there before, also when its body
+    raises. A read the kernel does not fuse (one split file, or a
+    ``batch_size`` that re-bundles the read blocks) keeps the
+    reservation."""
     import ray.data
     from ray.data import DataContext
 
-    from openie_with_entities_ray.stages.extract import unreserved
+    from openie_with_entities_ray.stages.extract import map_kernel, unreserved
 
-    source = ray.data.range(4)
-    derived = source.map_batches(lambda b: b)
+    source = ray.data.from_items([{"x": i} for i in range(4)])
+    derived = map_kernel(source, _Identity)
     ctx = source.context
     for before in (True, False):
         ctx.op_resource_reservation_enabled = before
         with pytest.raises(RuntimeError, match="body"):
-            with unreserved(derived):
+            with unreserved(derived, _Identity):
                 assert ctx.op_resource_reservation_enabled is False
                 raise RuntimeError("body")
         assert ctx.op_resource_reservation_enabled is before
     assert DataContext.get_current().op_resource_reservation_enabled
+
+    paths = _write_docs(tmp_path, 40, copies=4)
+    for ds in (map_kernel(ray.data.read_parquet(paths[0]), _Identity),
+               map_kernel(ray.data.read_parquet(paths), _Identity,
+                          batch_size=7)):
+        with unreserved(ds, _Identity):
+            assert ds.context.op_resource_reservation_enabled is True
+    fused = map_kernel(ray.data.read_parquet(paths), _Identity)
+    with unreserved(fused, _Identity):
+        assert fused.context.op_resource_reservation_enabled is False
+    assert fused.context.op_resource_reservation_enabled is True
 
 
 def test_reservation_flag_is_set_only_by_unreserved():
