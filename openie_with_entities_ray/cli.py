@@ -29,15 +29,19 @@ Input files speak the reference's format: one sentence per line,
 punctuation space-separated (README.md:53-57).
 
 ``splitpredict`` and ``predict --task oie`` are one kernel pass plus
-ordered writes. The driver reads every line, so it stamps each sentence
-row with ``first_sid`` (the line number of the text's first occurrence).
-One Ray Data task pass (``stages/extract.py:SplitExtractor``, the
-flagship's per-sentence body) maps each occurrence to one row per split
-with that split's triples after the occurrence's dedup + top-k. That
-table is materialized once; the ``.conj``/``.labels`` writers stream it
-sorted by ``(sent_id, split_id)`` and the ``.oie``/``.allennlp`` writer
-sorted by ``(first_sid, sent_id, split_id)``, merging duplicate
-sentences with a first-wins set per ``first_sid`` block. No join and no
+ordered writes, in one Ray execution. The driver reads every line, so it
+stamps each sentence row with ``first_sid`` (the line number of the
+text's first occurrence). One Ray Data task pass
+(``stages/extract.py:SplitExtractor``, the flagship's per-sentence body)
+maps each occurrence to one row per split with that split's triples
+after the occurrence's dedup + top-k. The sentence Dataset's own context
+preserves order, so that table is materialized in input order, i.e.
+sorted by ``(sent_id, split_id)``: the ``.conj``/``.labels`` writers
+stream it as it is. The ``.oie``/``.allennlp`` writer needs the order
+``(first_sid, sent_id, split_id)``; a text's first occurrence comes
+before its later ones, so it collects the later occurrences' triples in
+one pass and streams the first occurrences in a second, appending each
+block's collected rows under a first-wins set. No sort, no join and no
 grouped shuffle runs. ``--split_fp`` blocks enter the same kernel as a
 ``splits`` column (no conj labeler); ``predict --task oie`` uses each
 sentence as its only split. Checkpoint flags
@@ -191,7 +195,11 @@ def _sentence_dataset(path: str, entries):
     splits)`` entries; ``splits`` None lets the kernel's conj labeler split
     the sentence. Each row is stamped with ``first_sid``, the sent_id of
     its text's first occurrence (the reference keys its output by sentence
-    text in first-seen order, model.py:609-634)."""
+    text in first-seen order, model.py:609-634).
+
+    The Dataset keeps its blocks in input order: ``from_arrow`` gives it
+    a context of its own, which every Dataset derived from it shares, so
+    the flag reaches the kernel and its writers and nothing else."""
     import pyarrow as pa
     import ray.data
 
@@ -200,7 +208,7 @@ def _sentence_dataset(path: str, entries):
     sids, sha_srcs, sents, splits = list(zip(*entries)) or ([], [], [], [])
     first_sid: dict = {}
     n = len(sids)
-    return ray.data.from_arrow(pa.table({
+    ds = ray.data.from_arrow(pa.table({
         "repo": pa.array(["cli"] * n, pa.string()),
         "path": pa.array([path] * n, pa.string()),
         "commit": pa.array([""] * n, pa.string()),
@@ -214,6 +222,8 @@ def _sentence_dataset(path: str, entries):
         "sentence": pa.array(sents, pa.string()),
         "splits": pa.array(splits, pa.list_(pa.string())),
     }))
+    ds.context.execution_options.preserve_order = True
+    return ds
 
 
 def _read_sentence_file(path: str, identity_splits: bool = False):
@@ -248,34 +258,35 @@ def _presplit_dataset(split_fp: str):
 
 
 def _extract_rows(sentences_ds, args, labeler_spec):
-    """The one kernel pass: each sentence occurrence → one row per split
-    with its surviving triples (stages/extract.py:SplitExtractor)."""
+    """The one kernel pass, materialized: each sentence occurrence → one
+    row per split with its surviving triples
+    (stages/extract.py:SplitExtractor), in input order."""
     from .stages.extract import SplitExtractor, map_kernel
 
     return map_kernel(
         sentences_ds, SplitExtractor, batch_size=args.batch_size,
         seed=args.seed, num_extractions=args.num_extractions,
         no_lt=args.no_lt, labeler_spec=labeler_spec,
-    )
+    ).materialize()
 
 
-def _stream_rows(ds, keys, columns=None):
-    """Rows of ``ds`` in ``keys`` order with O(batch) driver memory: the
-    distributed sort orders the block sequence and ``iter_batches``
-    follows it — the streaming replacement for ``take_all()`` + a driver
-    sort (the render files are inherently sequential sinks, but the
-    driver never holds more than one batch)."""
-    if columns is not None:
-        ds = ds.select_columns(columns)
-    for batch in ds.sort(keys).iter_batches(
-        batch_size=4096, batch_format="pyarrow"
-    ):
-        yield from batch.to_pylist()
+def _stream_rows(ds, columns, where=None):
+    """The ``columns`` of ``ds``'s rows in its block order, one block at a
+    time (a materialized Dataset starts no execution). ``where`` maps an
+    Arrow block to the mask of the rows to keep. Columns are picked per
+    block here: ``Dataset.select_columns`` would be an execution of its
+    own."""
+    for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        if where is not None:
+            batch = batch.filter(where(batch))
+        yield from batch.select(columns).to_pylist()
 
 
 def _write_conj(splits_ds, out: str) -> None:
     """K4: orig + splits per block, blank-line separated (model.py:678-690),
-    rendered as a stream over the sorted splits with a one-block carry."""
+    rendered as a stream over the splits in input order, i.e. by
+    ``(sent_id, split_id)``, with a one-block carry: the driver holds one
+    Arrow block at a time."""
     with open(f"{out}.conj", "w", encoding="utf-8") as f:
         cur_sid = None
         cur_orig = ""
@@ -295,9 +306,7 @@ def _write_conj(splits_ds, out: str) -> None:
             first = False
 
         for r in _stream_rows(
-            splits_ds,
-            ["sent_id", "split_id"],
-            ["sent_id", "split_id", "orig_sentence", "split_sentence"],
+            splits_ds, ["sent_id", "orig_sentence", "split_sentence"]
         ):
             if r["sent_id"] != cur_sid:
                 flush()
@@ -317,11 +326,19 @@ def _write_oie_allennlp(rows_ds, out: str, style: str) -> None:
     extractions, and blocks are blank-line separated (each block ends
     with a newline, blocks joined with '\\n').
 
-    ``rows_ds`` is the kernel's per-split table: each occurrence's
-    triples are already deduped and cut to top-k, and ``first_sid`` names
-    the block each row belongs to. The driver streams it sorted by
-    ``(first_sid, sent_id, split_id)`` with O(batch) memory, and the
-    cross-occurrence first-wins dedup is one set per block."""
+    ``rows_ds`` is the kernel's per-split table, materialized in input
+    order: each occurrence's triples are already deduped and cut to
+    top-k, and ``first_sid`` names the block each row belongs to. The
+    rows are written in ``(first_sid, sent_id, split_id)`` order from two
+    passes over the blocks, with no sort: a text's first occurrence comes
+    before its later ones, so the first pass collects the triples of the
+    later-occurrence rows by ``first_sid``, and the second streams the
+    first-occurrence rows and ends each sentence's block with its
+    collected rows. The driver holds those later-occurrence triples and
+    one Arrow block; the cross-occurrence first-wins dedup is one set per
+    block."""
+    import pyarrow.compute as pc
+
     from .functions.triples import (
         Triple,
         ext_to_allennlp,
@@ -329,31 +346,48 @@ def _write_oie_allennlp(rows_ds, out: str, style: str) -> None:
         ext_to_string,
     )
 
+    later: dict = {}
+    for r in _stream_rows(
+        rows_ds, ["first_sid", "triples"],
+        lambda b: pc.not_equal(b["first_sid"], b["sent_id"]),
+    ):
+        later.setdefault(r["first_sid"], []).append(r["triples"])
+
     render = ext_to_sentence if style == "sentences" else ext_to_string
     with open(f"{out}.oie", "w", encoding="utf-8") as foie, open(
         f"{out}.allennlp", "w", encoding="utf-8"
     ) as fall:
         cur_sid = None
+        sentence = ""
         seen: set = set()
-        for r in _stream_rows(
-            rows_ds,
-            ["first_sid", "sent_id", "split_id"],
-            ["first_sid", "sent_id", "split_id", "orig_sentence", "triples"],
-        ):
-            if r["first_sid"] != cur_sid:
-                if cur_sid is not None:
-                    foie.write("\n")
-                cur_sid = r["first_sid"]
-                sentence = r["orig_sentence"]
-                foie.write(sentence + "\n")
-                seen = set()
-            for x in r["triples"]:
+
+        def emit(triples):
+            for x in triples:
                 t = Triple(x["arg1"], x["rel"], x["arg2"], x["confidence"])
                 if t.dedup_key in seen:
                     continue
                 seen.add(t.dedup_key)
                 foie.write(render(t) + "\n")
                 fall.write(ext_to_allennlp(sentence, t) + "\n")
+
+        def end_block():
+            for triples in later.pop(cur_sid, ()):
+                emit(triples)
+
+        for r in _stream_rows(
+            rows_ds, ["sent_id", "orig_sentence", "triples"],
+            lambda b: pc.equal(b["first_sid"], b["sent_id"]),
+        ):
+            if r["sent_id"] != cur_sid:
+                if cur_sid is not None:
+                    end_block()
+                    foie.write("\n")
+                cur_sid = r["sent_id"]
+                sentence = r["orig_sentence"]
+                foie.write(sentence + "\n")
+                seen.clear()
+            emit(r["triples"])
+        end_block()
         foie.write("\n")
 
 
@@ -399,8 +433,9 @@ def _write_labels(splits_ds, out: str, seed: int, no_lt: bool,
     """K3/O11: label rows projected onto original word positions
     (run.py:246-291 file shape, incl. the leading blank line per block).
     ``splits_ds`` is the kernel's per-split table (``split_sentence``,
-    ``split_indices``); projection runs in Ray Data tasks and the driver
-    streams the rows sorted by ``(sent_id, split_id)``."""
+    ``split_indices``) in input order; projection runs in Ray Data tasks
+    that keep that order, and the driver streams their rows as they come,
+    one Arrow block at a time."""
     from .stages.extract import map_kernel
 
     proj = map_kernel(splits_ds, _LabelProjector, seed=seed,
@@ -414,7 +449,7 @@ def _write_labels(splits_ds, out: str, seed: int, no_lt: bool,
             first = False
 
         cur_sid = None
-        for r in _stream_rows(proj, ["sent_id", "split_id"]):
+        for r in _stream_rows(proj, ["sent_id", "orig_sentence", "lines"]):
             if r["sent_id"] != cur_sid:
                 cur_sid = r["sent_id"]
                 emit("\n" + r["orig_sentence"])
@@ -429,11 +464,10 @@ def run_splitpredict(args) -> None:
         sentences = _presplit_dataset(args.split_fp)
     else:
         sentences = _read_sentence_file(args.inp)
-    # materialized once: read by the .conj, .oie/.allennlp and .labels
-    # writers (a lazy Dataset would re-run the labelers per writer);
-    # pinned blocks spill to the object store, nothing corpus-sized lands
-    # on the driver
-    rows = _extract_rows(sentences, args, spec).materialize()
+    # materialized once, in input order: read by the .conj, .oie/.allennlp
+    # and .labels writers (a lazy Dataset would re-run the labelers per
+    # writer); pinned blocks spill to the object store
+    rows = _extract_rows(sentences, args, spec)
     _write_conj(rows, args.out)
     _write_oie_allennlp(rows, args.out, args.type)
     if "labels" in (args.type or ""):
@@ -582,12 +616,40 @@ def run_convert(args) -> None:
         print(text, end="")
 
 
+def _check_source_docs(paths: list) -> None:
+    """End the program before any execution when a listed Parquet file
+    (or one under a listed directory) lacks a ``schemas.SOURCE_DOCS``
+    column: ``stages/sentences.py:_explode_batch`` reads ``lang`` and
+    ``content`` and carries ``repo``, ``path`` and ``commit``. Each such
+    file is named on stderr with its missing columns; exit status 2."""
+    import pyarrow.dataset
+    import pyarrow.parquet as pq
+
+    from .schemas import SOURCE_DOCS
+
+    problems = []
+    for path in paths:
+        files = (pyarrow.dataset.dataset(path, format="parquet").files
+                 if os.path.isdir(path) else [path])
+        for f in files:
+            have = set(pq.read_schema(f).names)
+            missing = [c for c in SOURCE_DOCS.names if c not in have]
+            if missing:
+                problems.append(f"{f!r}: no source_docs column(s) "
+                                f"{', '.join(missing)}")
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        raise SystemExit(2)
+
+
 def run_graph(args) -> None:
     import ray.data
 
     from .pipelines.flagship import materialize_graph
 
-    docs = ray.data.read_parquet(input_shards(args.inp))
+    paths = input_shards(args.inp)
+    _check_source_docs(paths)
+    docs = ray.data.read_parquet(paths)
     materialize_graph(docs, args.out, seed=args.seed,
                       ent_backend=args.ent_extractor)
     print(f"Graph written to {args.out}/nodes and {args.out}/edges")

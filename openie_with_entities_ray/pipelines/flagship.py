@@ -118,7 +118,7 @@ def _graph_batch(extract, docs: pa.Table):
 
 class _GraphWriter:
     """One read block of :func:`materialize_graph`, in ``batch``-doc
-    slices (``DOCS_BATCH`` at call time): each slice's triples →
+    slices: each slice's triples →
     ``triples/<name>``, their edges → ``edges/<name>``, and the slices'
     ``canonical._partial_counts`` rows, concatenated, as the block's
     output — the rows the canonicalize exchange merges into nodes. A
@@ -133,8 +133,7 @@ class _GraphWriter:
     triples writes no file."""
 
     def __init__(self, out_dir: str, token: str, seed: int,
-                 with_entities: bool, ent_backend: str,
-                 batch: int = DOCS_BATCH):
+                 with_entities: bool, ent_backend: str, batch: int):
         self.dirs = [os.path.join(out_dir, d) for d in ("triples", "edges")]
         self.token = token
         self.batch = batch

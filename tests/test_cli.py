@@ -24,7 +24,7 @@ def run_cli(*argv, timeout=240):
         capture_output=True,
         text=True,
         timeout=timeout,
-        cwd="/root/repo",
+        cwd=ROOT,
     )
 
 
@@ -245,7 +245,7 @@ def test_compact_job_plan_and_resume(tmp_path):
             [sys.executable, "jobs/compact_job.py",
              "--input", str(src / "*.parquet"),
              "--out", str(out), "--target-rows", "100"],
-            capture_output=True, text=True, timeout=240, cwd="/root/repo",
+            capture_output=True, text=True, timeout=240, cwd=ROOT,
         )
 
     first = run_job()
@@ -278,7 +278,7 @@ def test_dedup_job_resumable(tmp_path):
             [sys.executable, "jobs/dedup_job.py",
              "--input", "/root/testdata/sf0.001/documents.parquet",
              "--out", str(out), "--method", "exact", *extra],
-            capture_output=True, text=True, timeout=240, cwd="/root/repo",
+            capture_output=True, text=True, timeout=240, cwd=ROOT,
         )
 
     first = run_job()
@@ -329,7 +329,7 @@ def test_dedup_job_cross_shard_resumable(tmp_path):
             [sys.executable, "jobs/dedup_job.py",
              "--input", str(shard_dir / "*.parquet"),
              "--out", str(out), "--method", "minhash", "--cross-shard"],
-            capture_output=True, text=True, timeout=240, cwd="/root/repo",
+            capture_output=True, text=True, timeout=240, cwd=ROOT,
         )
 
     first = run_job()
@@ -384,6 +384,47 @@ def _staged_triples(splits):
     return dedup_topk_grouped(raw, None)
 
 
+def _sorted_splits(splits):
+    return sorted(
+        splits.take_all(), key=lambda r: (r["sent_id"], r["split_id"])
+    )
+
+
+def _naive_conj(splits):
+    """The expected .conj text of a split table (model.py:678-690)."""
+    by_sid: dict = {}
+    for r in _sorted_splits(splits):
+        by_sid.setdefault(r["sent_id"], []).append(r)
+    blocks = []
+    for sid in sorted(by_sid):
+        orig = by_sid[sid][0]["orig_sentence"]
+        ss = [r["split_sentence"] for r in by_sid[sid]]
+        blocks.append(orig if ss == [orig] else "\n".join([orig] + ss))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _naive_labels(splits, seed=777):
+    """The expected .labels text of a split table (run.py:246-291 file
+    shape), every split labeled here in the driver."""
+    from openie_with_entities_ray.functions.triples import (
+        project_labels_to_original,
+    )
+    from openie_with_entities_ray.state.labeler import make_labeler
+
+    labeler = make_labeler(None, seed)
+    items, sid = [], None
+    for r in _sorted_splits(splits):
+        if r["sent_id"] != sid:
+            sid = r["sent_id"]
+            items.append("\n" + r["orig_sentence"])
+        label_rows, _ = labeler.label_oie(r["split_sentence"])
+        items += project_labels_to_original(
+            label_rows, list(r["split_indices"]),
+            len(r["orig_sentence"].split()),
+        )
+    return "\n".join(items + ["\n"])
+
+
 def _naive_cli_outputs(splits, triples_ds):
     """Naive whole-file replica of the reference writer semantics
     (model.py:609-702): the expected .conj, .oie and .allennlp texts."""
@@ -393,18 +434,8 @@ def _naive_cli_outputs(splits, triples_ds):
         ext_to_string,
     )
 
-    split_rows = sorted(
-        splits.take_all(), key=lambda r: (r["sent_id"], r["split_id"])
-    )
-    by_sid: dict = {}
-    for r in split_rows:
-        by_sid.setdefault(r["sent_id"], []).append(r)
-    blocks = []
-    for sid in sorted(by_sid):
-        orig = by_sid[sid][0]["orig_sentence"]
-        ss = [r["split_sentence"] for r in by_sid[sid]]
-        blocks.append(orig if ss == [orig] else "\n".join([orig] + ss))
-    expect_conj = "\n\n".join(blocks) + "\n"
+    split_rows = _sorted_splits(splits)
+    expect_conj = _naive_conj(splits)
 
     by_sent: dict = {}
     for r in split_rows:  # first-seen order, duplicates merge
@@ -459,7 +490,7 @@ def test_streaming_writers_byte_parity(ray_session, tmp_path):
     splits = _extract_rows(
         _read_sentence_file(str(inp)),
         _cli_args("--mode", "splitpredict", "--inp", str(inp)), None,
-    ).materialize()
+    )
     triples_ds = _staged_triples(splits)
 
     # streamed output (the code under test)
@@ -493,7 +524,7 @@ def test_split_fp_duplicate_sentence_byte_parity(ray_session, tmp_path):
     cli.run_splitpredict(args)
 
     splits = cli._extract_rows(cli._presplit_dataset(str(split_fp)), args,
-                               None).materialize()
+                               None)
     expect_conj, expect_oie, expect_allennlp = _naive_cli_outputs(
         splits, _staged_triples(splits)
     )
@@ -520,7 +551,7 @@ def test_predict_oie_byte_parity(ray_session, tmp_path):
 
     splits = cli._extract_rows(
         cli._read_sentence_file(str(inp), identity_splits=True), args, None
-    ).materialize()
+    )
     assert all(r["split_sentence"] == r["orig_sentence"]
                for r in splits.take_all())
     _, expect_oie, expect_allennlp = _naive_cli_outputs(
@@ -528,6 +559,86 @@ def test_predict_oie_byte_parity(ray_session, tmp_path):
     )
     assert (tmp_path / "got.oie").read_text() == expect_oie
     assert (tmp_path / "got.allennlp").read_text() == expect_allennlp
+
+
+def test_labels_and_predict_conj_byte_parity(ray_session, tmp_path):
+    """``--type labels`` writes the .labels of every split in input order,
+    and ``predict --task conj`` the .conj of its split-only kernel, both
+    byte-identical to a whole-table render of the same splits."""
+    from openie_with_entities_ray import cli
+    from openie_with_entities_ray.stages.extract import (
+        ConjSplitter,
+        map_kernel,
+    )
+
+    inp = tmp_path / "sents.txt"
+    inp.write_text(
+        "Alice , Bob and Carol founded Acme Corp in New York .\n"
+        "\n"
+        "Dave , the CEO of Globex , acquired Initech .\n"
+        "Alice , Bob and Carol founded Acme Corp in New York .\n"
+        "the sum of X and Y increased .\n"
+    )
+    args = _cli_args("--mode", "splitpredict", "--inp", str(inp),
+                     "--type", "labels", "--out", str(tmp_path / "split"))
+    cli.run_splitpredict(args)
+    splits = cli._extract_rows(cli._read_sentence_file(str(inp)), args, None)
+    assert (tmp_path / "split.labels").read_text() == _naive_labels(splits)
+
+    args = _cli_args("--mode", "predict", "--task", "conj", "--inp",
+                     str(inp), "--out", str(tmp_path / "conj"))
+    cli.run_predict(args)
+    conj_splits = map_kernel(cli._read_sentence_file(str(inp)), ConjSplitter)
+    expect = _naive_conj(conj_splits)
+    assert (tmp_path / "conj.conj").read_text() == expect
+    assert expect == (tmp_path / "split.conj").read_text()
+
+
+def test_multi_block_input_writes_in_input_order(ray_session, monkeypatch,
+                                                 tmp_path):
+    """A sentence Dataset of several blocks, the first far larger than the
+    rest so its task ends last, still reaches every writer in input order:
+    .conj, .oie, .allennlp and .labels match the whole-table renders,
+    with duplicate lines inside and across blocks. The writers sort
+    nothing, so this fails if the blocks come back in completion order."""
+    import ray.data
+
+    from openie_with_entities_ray import cli
+    from openie_with_entities_ray.sources.source_docs import (
+        synthetic_sentence,
+    )
+
+    lines = [synthetic_sentence(i, seed=3) for i in range(400)]
+    lines[5] = lines[7] = lines[2]  # duplicates besides the grammar's own
+    lines += ["", lines[2], lines[390], lines[391]] + lines[300:312]
+    inp = tmp_path / "sents.txt"
+    inp.write_text("\n".join(lines) + "\n")
+    assert len(set(lines)) < len(lines) - 20
+
+    real_from_arrow = ray.data.from_arrow
+    cuts = [0, 360, 368, 376, 384, 392, 400, len(lines)]
+
+    def sliced(table):
+        return real_from_arrow(
+            [table.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
+
+    monkeypatch.setattr(ray.data, "from_arrow", sliced)
+    args = _cli_args("--mode", "splitpredict", "--inp", str(inp),
+                     "--batch_size", "4")
+    rows = cli._extract_rows(cli._read_sentence_file(str(inp)), args, None)
+    assert rows.num_blocks() > 1
+    got = str(tmp_path / "got")
+    cli._write_conj(rows, got)
+    cli._write_oie_allennlp(rows, got, "")
+    cli._write_labels(rows, got, 777, False)
+
+    expect_conj, expect_oie, expect_allennlp = _naive_cli_outputs(
+        rows, _staged_triples(rows)
+    )
+    assert (tmp_path / "got.conj").read_text() == expect_conj
+    assert (tmp_path / "got.oie").read_text() == expect_oie
+    assert (tmp_path / "got.allennlp").read_text() == expect_allennlp
+    assert (tmp_path / "got.labels").read_text() == _naive_labels(rows)
 
 
 def test_dedup_job_cross_shard_simhash(tmp_path):
@@ -562,7 +673,7 @@ def test_dedup_job_cross_shard_simhash(tmp_path):
         [sys.executable, "jobs/dedup_job.py",
          "--input", str(shard_dir / "*.parquet"),
          "--out", str(out), "--method", "simhash", "--cross-shard"],
-        capture_output=True, text=True, timeout=240, cwd="/root/repo",
+        capture_output=True, text=True, timeout=240, cwd=ROOT,
     )
     assert res.returncode == 0, res.stderr[-800:]
     rep = json.loads(res.stdout.strip().splitlines()[-1])
@@ -602,7 +713,7 @@ def test_dedup_job_cross_shard_empty_shards(tmp_path):
          "--input", str(shard_dir / "*.parquet"),
          "--out", str(tmp_path / "dedup"), "--method", "minhash",
          "--cross-shard"],
-        capture_output=True, text=True, timeout=240, cwd="/root/repo",
+        capture_output=True, text=True, timeout=240, cwd=ROOT,
     )
     assert res.returncode == 0, res.stderr[-800:]
     rep = json.loads(res.stdout.strip().splitlines()[-1])
@@ -648,7 +759,7 @@ def test_dedup_job_emit_survivors(tmp_path):
              "--input", str(shard_dir / "*.parquet"),
              "--out", str(out), "--method", "minhash", "--cross-shard",
              "--emit-survivors"],
-            capture_output=True, text=True, timeout=300, cwd="/root/repo",
+            capture_output=True, text=True, timeout=300, cwd=ROOT,
         )
 
     first = run_job()
@@ -709,7 +820,7 @@ def test_curate_job_end_to_end_and_resumable(tmp_path):
         return subprocess.run(
             [sys.executable, "jobs/curate_job.py",
              "--input", str(shard_dir / "*.parquet"), "--out", str(out)],
-            capture_output=True, text=True, timeout=300, cwd="/root/repo",
+            capture_output=True, text=True, timeout=300, cwd=ROOT,
         )
 
     first = run_job()
@@ -832,7 +943,7 @@ def test_curate_job_benchmark_decontamination(tmp_path):
         [sys.executable, "jobs/curate_job.py",
          "--input", str(shard_dir / "*.parquet"), "--out", str(out),
          "--benchmark", str(bench_dir / "*.parquet")],
-        capture_output=True, text=True, timeout=300, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert res.returncode == 0, res.stderr[-800:]
     rep = json.loads(res.stdout.strip().splitlines()[-1])
@@ -874,7 +985,7 @@ def test_ann_job_build_probe_resume(tmp_path):
              "--input", str(shard_dir / "*.parquet"), "--out", str(out),
              "--num-centroids", "8", "--sample-size", "256",
              "--seed", "17"],
-            capture_output=True, text=True, timeout=300, cwd="/root/repo",
+            capture_output=True, text=True, timeout=300, cwd=ROOT,
         )
 
     first = run_build()
@@ -894,7 +1005,7 @@ def test_ann_job_build_probe_resume(tmp_path):
         [sys.executable, "jobs/ann_job.py", "build",
          "--input", str(shard_dir / "*.parquet"), "--out", str(out),
          "--num-centroids", "4", "--sample-size", "256", "--seed", "17"],
-        capture_output=True, text=True, timeout=300, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert mismatch.returncode != 0
     assert "--no-resume" in mismatch.stderr
@@ -904,7 +1015,7 @@ def test_ann_job_build_probe_resume(tmp_path):
         [sys.executable, "jobs/ann_job.py", "probe",
          "--out", str(out), "--query-json", json.dumps(query),
          "--k", "10", "--nprobe", "3"],
-        capture_output=True, text=True, timeout=300, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert res.returncode == 0, res.stderr[-800:]
     rep = json.loads(res.stdout.strip().splitlines()[-1])
@@ -970,7 +1081,7 @@ def test_scrub_job_build_resume(tmp_path):
             [sys.executable, "jobs/scrub_job.py",
              "--input", str(shard_dir / "*.parquet"),
              "--out", str(out), "--min-docs", "3"],
-            capture_output=True, text=True, timeout=300, cwd="/root/repo",
+            capture_output=True, text=True, timeout=300, cwd=ROOT,
         )
 
     first = run_job()
@@ -1003,7 +1114,7 @@ def test_scrub_job_build_resume(tmp_path):
         [sys.executable, "jobs/scrub_job.py",
          "--input", str(shard_dir / "*.parquet"),
          "--out", str(out), "--min-docs", "2"],
-        capture_output=True, text=True, timeout=300, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert mismatch.returncode != 0
     assert "--no-resume" in mismatch.stderr
@@ -1013,7 +1124,7 @@ def test_scrub_job_build_resume(tmp_path):
         [sys.executable, "jobs/scrub_job.py",
          "--input", str(shard_dir / "*.parquet"),
          "--out", str(out), "--min-docs", "2", "--no-resume"],
-        capture_output=True, text=True, timeout=300, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert redo.returncode == 0, redo.stderr[-800:]
     rep3 = json.loads(redo.stdout.strip().splitlines()[-1])

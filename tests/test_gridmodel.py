@@ -3,6 +3,7 @@
 Pure-python module: no Ray session needed."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from openie_with_entities_ray.state.gridmodel import (
     random_grid_weights,
 )
 from openie_with_entities_ray.state.labeler import state_dict_to_grid_weights
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def small_model(seed=0, **kw) -> GridModel:
@@ -421,7 +424,7 @@ def test_grid_labeler_cli_splitpredict(tmp_path):
          "--oie_model", spec["oie_weights"],
          "--conj_model", spec["conj_weights"],
          "--num_cpus", "4"],
-        capture_output=True, text=True, timeout=600, cwd="/root/repo",
+        capture_output=True, text=True, timeout=600, cwd=ROOT,
     )
     assert res.returncode == 0, res.stderr[-2000:]
     oie = (tmp_path / "out.oie").read_text()
@@ -435,7 +438,7 @@ def test_grid_labeler_cli_splitpredict(tmp_path):
          "--mode", "splitpredict", "--inp", str(inp),
          "--out", str(tmp_path / "out2"),
          "--oie_model", "/nonexistent.ckpt", "--num_cpus", "4"],
-        capture_output=True, text=True, timeout=120, cwd="/root/repo",
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
     )
     assert bad.returncode != 0
     assert "ckpt_to_npz" in bad.stderr

@@ -713,9 +713,9 @@ def test_kernel_classes_run_only_through_map_kernel():
 def test_cli_splitpredict_plan_has_no_exchange(ray_session, monkeypatch,
                                                tmp_path):
     """The CLI's splitpredict is one kernel pass plus ordered writes: no
-    join, no grouped shuffle (per_part/merge/first_wins), at most three
-    executions (the materialized kernel table and the two sorted
-    writers)."""
+    join, no grouped shuffle (per_part/merge/first_wins) and exactly one
+    execution, the materialized kernel table. The writers read its blocks
+    in input order, so no sort runs anywhere in the CLI."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -751,7 +751,9 @@ def test_cli_splitpredict_plan_has_no_exchange(ray_session, monkeypatch,
     for banned in ("Join", "per_part", "merge", "first_wins", "add_key",
                    "add_part"):
         assert banned not in names, (banned, plans)
-    assert len(plans) <= 3, plans
+    assert len(plans) == 1, plans
+    with open(cli.__file__, encoding="utf-8") as f:
+        assert ".sort(" not in f.read()
 
 
 # --- materialize_graph: one execution, serial oracle, re-runs -----------
@@ -950,8 +952,10 @@ def test_graph_writer_names_files_by_task_and_batch_ordinal(
     docs = synthetic_source_docs_table(6, seed=SEED)
 
     def writer():
+        # one slice per call: the batch covers all six docs
         return _GraphWriter(str(tmp_path), "tok", seed=777,
-                            with_entities=True, ent_backend="dictionary")
+                            with_entities=True, ent_backend="dictionary",
+                            batch=6)
 
     w = writer()
     first = w(docs)
@@ -1224,6 +1228,51 @@ def test_cli_graph_mode_on_empty_input_exits_zero(
                      "--out", str(out)]) == 0
     for d in GRAPH_DIRS:
         assert pq.read_table(str(out / d)).num_rows == 0, d
+
+
+def test_cli_graph_mode_rejects_input_without_source_docs_columns(
+    ray_session, monkeypatch, tmp_path, capsys
+):
+    """``--mode graph`` over a Parquet file without the source_docs
+    columns (a ``documents.parquet``-shaped table: ``doc_id, text, lang,
+    source, n_chars``) exits 2 before any execution, naming the file and
+    its missing columns on stderr; files that have them pass."""
+    import pyarrow as pa
+    import ray
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from openie_with_entities_ray import cli
+
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    paths = _write_docs(tmp_path, 4)
+    for p in paths:
+        os.replace(p, docs / os.path.basename(p))
+    bad = docs / "zz-documents.parquet"
+    pq.write_table(pa.table({
+        "doc_id": pa.array([1, 2], pa.int64()),
+        "text": pa.array(["Alice founded Acme .", "Bob left ."]),
+        "lang": pa.array(["en", "en"]),
+        "source": pa.array(["web", "web"]),
+        "n_chars": pa.array([20, 10], pa.int64()),
+    }), bad)
+    executions = []
+    monkeypatch.setattr(StreamingExecutor, "execute",
+                        lambda *a, **k: executions.append(a))
+    # the CLI shuts down the session it ran in; keep the test session's
+    monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+    out = tmp_path / "out"
+    for inp in (docs, docs / "*.parquet"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--mode", "graph", "--inp", str(inp),
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert err == (f"{str(bad)!r}: no source_docs column(s) "
+                       "repo, path, commit, content"), err
+    assert not executions and not out.exists()
 
 
 def test_cli_graph_mode_writes_the_materialize_graph_tables(
