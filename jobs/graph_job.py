@@ -11,7 +11,9 @@ path):
 or run standalone on one node (starts a local session). ``--input``
 is a local/NFS glob; object-store URIs need a filesystem listing step
 (pyarrow.fs) — the job rejects them, and a glob that matches nothing,
-on stderr with exit status 2 (``cli.input_shards``). Input shards
+on stderr with exit status 2 (``cli.input_shards``), and so does a
+shard without the source_docs columns, named before anything is
+cleared or run (``cli._check_source_docs``). Input shards
 (the source table's files) are the unit of resume: finished shards are
 skipped via their manifests, so re-submitting the same job after a
 failure — a SIGKILL included — completes only the remaining work and
@@ -32,7 +34,11 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-from openie_with_entities_ray.cli import input_shards, ray_session  # noqa: E402
+from openie_with_entities_ray.cli import (  # noqa: E402
+    _check_source_docs,
+    input_shards,
+    ray_session,
+)
 
 
 def main(argv=None) -> int:
@@ -45,6 +51,7 @@ def main(argv=None) -> int:
     ap.add_argument("--no-resume", action="store_true")
     args = ap.parse_args(argv)
     shards = input_shards(args.input)
+    _check_source_docs(shards)
     from openie_with_entities_ray.pipelines.flagship import (
         resumable_materialize,
     )

@@ -11,14 +11,16 @@ Ray-Data-native splitpredict analogue (/root/reference/run.py:161-243):
       → [groupby canonicalization / edge dedup / partitioned write]
 
 Everything is lazy/streaming; nothing materializes the corpus. The two
-graph writers run the same explode → extractor → edges body per docs
-batch (``_graph_batch``) inside their tasks, each in ONE Ray execution
-run through ``stages/extract.py:unreserved``: ``materialize_graph``
-maps its extraction over whole read blocks, so the read can fuse into
-the task that writes the block's triples and edges, and sends only the
-canonicalize partials through the nodes exchange;
-``resumable_materialize`` runs one task per run of an input row group,
-all pending shards together.
+graph writers plan their work the same way: every input file's row
+groups, read from the Parquet footers and cut into runs of whole
+``DOCS_BATCH`` batches, run as ``from_items`` units through one unit
+kernel (``_UnitWriter``: explode → extractor → edges per batch) in ONE
+Ray execution inside ``stages/extract.py:unreserved``.
+``materialize_graph`` writes each unit's triples and edges and sends
+only the canonicalize partials through the nodes exchange;
+``resumable_materialize`` writes each unit's edges under its input
+shard's partition and commits a shard's manifest when its last unit
+reports.
 """
 
 from __future__ import annotations
@@ -109,120 +111,6 @@ def _extractor(seed: int, with_entities: bool,
     return FusedExtractor(seed=seed)
 
 
-def _graph_batch(extract, docs: pa.Table):
-    """One docs batch → (triples, edges): the per-batch body of both graph
-    writers, ``_GraphWriter`` and ``_EdgeUnitWriter``."""
-    triples = extract(_explode_batch(docs))
-    return triples, triples_to_edges(triples)
-
-
-class _GraphWriter:
-    """One read block of :func:`materialize_graph`, in ``batch``-doc
-    slices: each slice's triples →
-    ``triples/<name>``, their edges → ``edges/<name>``, and the slices'
-    ``canonical._partial_counts`` rows, concatenated, as the block's
-    output — the rows the canonicalize exchange merges into nodes. A
-    call holds one slice's triples at a time, whatever the block size.
-
-    ``<name>`` is ``<token>-<task id>-<ordinal>.parquet``: the token is
-    minted once per call, the Ray task id stays the same on every retry
-    of one task, and the ordinal counts the task's slices in this
-    process. A task retried after its worker died rewrites its own files
-    instead of adding copies (Ray's Parquet datasink names files by write
-    uuid, task index and block index the same way). A slice without
-    triples writes no file."""
-
-    def __init__(self, out_dir: str, token: str, seed: int,
-                 with_entities: bool, ent_backend: str, batch: int):
-        self.dirs = [os.path.join(out_dir, d) for d in ("triples", "edges")]
-        self.token = token
-        self.batch = batch
-        self.extract = _extractor(seed, with_entities, ent_backend)
-        self.task, self.ordinal = None, 0
-
-    def __call__(self, docs: pa.Table) -> pa.Table:
-        import ray
-
-        task = ray.get_runtime_context().get_task_id() or "driver"
-        if task != self.task:
-            self.task, self.ordinal = task, 0
-        # a 0-row block still runs one (empty) slice: its typed 0-row
-        # partials keep the exchange's schema
-        return pa.concat_tables([
-            self._write_slice(task, docs.slice(start, self.batch))
-            for start in range(0, docs.num_rows or 1, self.batch)
-        ])
-
-    def _write_slice(self, task: str, docs: pa.Table) -> pa.Table:
-        name = f"{self.token}-{task}-{self.ordinal}.parquet"
-        self.ordinal += 1
-        triples, edges = _graph_batch(self.extract, docs)
-        if triples.num_rows:
-            for d, table in zip(self.dirs, (triples, edges)):
-                os.makedirs(d, exist_ok=True)
-                pq.write_table(table, os.path.join(d, name))
-        return canonical._partial_counts(triples)
-
-
-GRAPH_TABLES = ("triples", "edges", "nodes")
-
-
-def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
-                      with_entities: bool = True,
-                      ent_backend: str = "dictionary"):
-    """End-to-end run: docs → ``triples/``, ``edges/`` and ``nodes/``
-    Parquet in ONE Ray execution.
-
-    Each read block runs in one task (``MapBatches(_GraphWriter)``
-    without a ``batch_size``, so Ray can fuse the read into it). The task
-    extracts the block's triples ``DOCS_BATCH`` docs at a time, writes
-    them and their edges itself, then hands on only its
-    ``_partial_counts`` rows, which feed the canonicalize exchange
-    (``merge`` → ``finalize`` → nodes write) directly. The fan-out stays
-    scale-safe without re-reading anything: the full triples and edges
-    tables go straight to storage from the task that made them, and only
-    the partials — O(distinct surfaces per slice) rows — cross the
-    exchange. Nothing pins the triples table in the object store.
-
-    The execution runs inside :func:`unreserved`, which lifts Ray Data's
-    per-operator reservation only when the read is fused into
-    ``_GraphWriter``.
-
-    Stale outputs from a previous (possibly crashed) run are DELETED
-    first: every call names its files with a fresh token, so without the
-    cleanup a re-run would leave both generations side by side and a
-    reader would silently double-count (same rationale as
-    stages/graph.py:write_partition). A run that extracts no triples
-    writes each table as one 0-row ``empty.parquet`` with the schema a
-    non-empty run writes."""
-    import shutil
-    import uuid
-
-    for sub in GRAPH_TABLES:
-        path = os.path.join(out_dir, sub)
-        if os.path.isdir(path):
-            shutil.rmtree(path)
-
-    partials = map_kernel(
-        docs_ds, _GraphWriter, out_dir=out_dir, token=uuid.uuid4().hex,
-        seed=seed, with_entities=with_entities, ent_backend=ent_backend,
-        batch=DOCS_BATCH,
-    )
-    nodes = merge_partials(partials)
-    with unreserved(nodes, _GraphWriter):
-        nodes.write_parquet(f"{out_dir}/nodes")
-    if not os.path.isdir(os.path.join(out_dir, "triples")):
-        # no batch yielded a triple: each table becomes one 0-row file of
-        # the schema its producer declares
-        triples = (schemas.ENTITY_TRIPLES if with_entities
-                   else schemas.TRIPLES)
-        for sub, schema in zip(GRAPH_TABLES,
-                               (triples, schemas.EDGES, schemas.NODES)):
-            os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-            pq.write_table(schema.empty_table(),
-                           os.path.join(out_dir, sub, "empty.parquet"))
-
-
 # A row group splits into at most this many work units, each a run of
 # whole DOCS_BATCH batches (Ray's own read cut a one-file shard into 8
 # blocks on 4 CPUs), so a shard of one large row group still spreads
@@ -248,38 +136,44 @@ def _shard_units(part: int, path: str) -> list:
     return units
 
 
-class _EdgeUnitWriter:
-    """One work unit of :func:`resumable_materialize`: rows
-    ``[start, stop)`` of a row group ``i`` of an input shard →
-    ``edges/part=<k>/rg-<i>-<start>.parquet``.
+class _UnitWriter:
+    """One work unit of a graph writer: rows ``[start, stop)`` of row
+    group ``i`` of input file ``k``, streamed in ``DOCS_BATCH``-doc
+    batches through the flagship's own callables (explode → fused
+    extractor → edges).
 
-    The rows stream in ``DOCS_BATCH``-doc batches through the flagship's
-    own callables (explode → fused extractor → edges). The file name is a
-    function of the unit alone, so a retried task overwrites its own
-    output; a unit without edges writes no file. Returns one
-    ``(part, rows, busy_s)`` row per unit."""
+    ``graph`` picks the output. For :func:`materialize_graph` (True) the
+    unit writes its triples and edges to ``triples/<k>-rg-<i>-<start>
+    .parquet`` and ``edges/<k>-rg-<i>-<start>.parquet`` and returns its
+    batches' ``canonical._partial_counts`` rows, the rows the
+    canonicalize exchange merges into nodes. For
+    :func:`resumable_materialize` (False) it writes only the edges, to
+    ``edges/part=<k>/rg-<i>-<start>.parquet``, and returns one ``(part,
+    rows, busy_s)`` row. A file name is a function of the unit alone, so
+    a retried task overwrites its own output; a unit without triples
+    writes no file."""
 
-    def __init__(self, edges_dir: str, seed: int, with_entities: bool):
-        self.edges_dir = edges_dir
-        self.extract = _extractor(seed, with_entities)
+    def __init__(self, out_dir: str, seed: int, with_entities: bool,
+                 graph: bool, ent_backend: str = "dictionary"):
+        self.out_dir = out_dir
+        self.graph = graph
+        self.extract = _extractor(seed, with_entities, ent_backend)
 
     def __call__(self, units: pa.Table) -> pa.Table:
-        import time
-
-        rows, busy = [], []
-        for u in units.to_pylist():
-            t0 = time.perf_counter()
-            rows.append(self.write_unit(**u))
-            busy.append(time.perf_counter() - t0)
-        return pa.table({"part": units.column("part"),
-                         "rows": pa.array(rows, pa.int64()),
-                         "busy_s": pa.array(busy, pa.float64())})
+        return pa.concat_tables(
+            [self.write_unit(**u) for u in units.to_pylist()])
 
     def write_unit(self, part: int, path: str, row_group: int, start: int,
-                   stop: int) -> int:
-        dest = os.path.join(self.edges_dir, f"part={part}",
-                            f"rg-{row_group}-{start}.parquet")
-        writer, rows, at = None, 0, 0
+                   stop: int) -> pa.Table:
+        import time
+
+        t0 = time.perf_counter()
+        name = f"rg-{row_group}-{start}.parquet"
+        dests = ({t: os.path.join(self.out_dir, t, f"{part}-{name}")
+                  for t in ("triples", "edges")} if self.graph else
+                 {"edges": os.path.join(self.out_dir, "edges",
+                                        f"part={part}", name)})
+        writers, partials, rows, at = {}, [], 0, 0
         try:
             for rb in pq.ParquetFile(path).iter_batches(
                 row_groups=[row_group], batch_size=DOCS_BATCH
@@ -290,19 +184,99 @@ class _EdgeUnitWriter:
                 docs = pa.Table.from_batches([rb]).slice(
                     max(start - lo, 0), stop - max(start, lo)
                 )
-                _, edges = _graph_batch(self.extract, docs)
-                if edges.num_rows:
-                    if writer is None:
-                        os.makedirs(os.path.dirname(dest), exist_ok=True)
-                        writer = pq.ParquetWriter(dest, edges.schema)
-                    writer.write_table(edges)
-                    rows += edges.num_rows
+                triples = self.extract(_explode_batch(docs))
+                tables = {"triples": triples,
+                          "edges": triples_to_edges(triples)}
+                if triples.num_rows:
+                    for t, dest in dests.items():
+                        if t not in writers:
+                            os.makedirs(os.path.dirname(dest), exist_ok=True)
+                            writers[t] = pq.ParquetWriter(
+                                dest, tables[t].schema)
+                        writers[t].write_table(tables[t])
+                rows += tables["edges"].num_rows
+                if self.graph:
+                    partials.append(canonical._partial_counts(triples))
                 if at >= stop:
                     break
         finally:
-            if writer is not None:
+            for writer in writers.values():
                 writer.close()
-        return rows
+        if self.graph:
+            return pa.concat_tables(partials)
+        return pa.table({
+            "part": pa.array([part], pa.int64()),
+            "rows": pa.array([rows], pa.int64()),
+            "busy_s": pa.array([time.perf_counter() - t0], pa.float64()),
+        })
+
+
+GRAPH_TABLES = ("triples", "edges", "nodes")
+
+
+def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
+                      with_entities: bool = True,
+                      ent_backend: str = "dictionary"):
+    """End-to-end run: docs → ``triples/``, ``edges/`` and ``nodes/``
+    Parquet in ONE Ray execution.
+
+    ``docs_ds`` is a Parquet read (``ray.data.read_parquet``): its work is
+    planned from its input files' footers, the same row-group units as
+    :func:`resumable_materialize` (file ``k`` of the sorted listing is
+    part ``k``), and a Dataset that lists no input file or that
+    transforms its read raises ``ValueError``. The units run as tasks of
+    ``MapBatches(_UnitWriter)``, each reading its own rows, writing its
+    triples and edges itself and handing on only its
+    ``_partial_counts`` rows, which feed the canonicalize exchange
+    (``merge`` → ``finalize`` → nodes write) directly. The full triples
+    and edges tables go straight to storage from the task that made
+    them; only the partials — O(distinct surfaces per batch) rows —
+    cross the exchange. No read operator runs ahead of the kernel, so
+    the execution runs inside :func:`unreserved` and an input of one file
+    spreads over every CPU.
+
+    Outputs from a previous (possibly crashed) run are DELETED first: a
+    smaller input writes fewer units, and a reader of the directories
+    would otherwise count the stale files too (same rationale as
+    stages/graph.py:write_partition). A run that extracts no triples
+    writes each table as one 0-row ``empty.parquet`` with the schema a
+    non-empty run writes."""
+    import shutil
+
+    import ray.data
+
+    files = sorted(docs_ds.input_files())
+    if not files or docs_ds._logical_plan.dag.input_dependencies:
+        raise ValueError(
+            "materialize_graph plans its work from the input files of a "
+            "read_parquet Dataset; this Dataset "
+            + ("transforms its read" if files else "lists no input file"))
+    for sub in GRAPH_TABLES:
+        path = os.path.join(out_dir, sub)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+
+    units = [u for k, path in enumerate(files)
+             for u in _shard_units(k, path)]
+    if units:
+        partials = map_kernel(
+            ray.data.from_items(units, override_num_blocks=len(units)),
+            _UnitWriter, out_dir=out_dir, seed=seed,
+            with_entities=with_entities, graph=True, ent_backend=ent_backend,
+        )
+        nodes = merge_partials(partials)
+        with unreserved(nodes):
+            nodes.write_parquet(f"{out_dir}/nodes")
+    if not os.path.isdir(os.path.join(out_dir, "triples")):
+        # no batch yielded a triple: each table becomes one 0-row file of
+        # the schema its producer declares
+        triples = (schemas.ENTITY_TRIPLES if with_entities
+                   else schemas.TRIPLES)
+        for sub, schema in zip(GRAPH_TABLES,
+                               (triples, schemas.EDGES, schemas.NODES)):
+            os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+            pq.write_table(schema.empty_table(),
+                           os.path.join(out_dir, sub, "empty.parquet"))
 
 
 def resumable_materialize(
@@ -326,11 +300,11 @@ def resumable_materialize(
     The unit of *work* is a run of rows inside one row group: every
     pending shard's row groups (read from its Parquet footer), each cut
     into at most ``UNIT_SPLIT`` runs of whole ``DOCS_BATCH`` batches, run
-    as tasks of ONE Ray execution (``_EdgeUnitWriter``) inside
+    as tasks of ONE Ray execution (``_UnitWriter``) inside
     :func:`unreserved`: each unit reads its own rows, so no read operator
-    can run ahead of the kernel and the units use every CPU. Small shards share the CPUs instead of
-    paying an execution's fixed latency floor one after another, and one
-    large row group still spreads over them.
+    can run ahead of the kernel and the units use every CPU. Small shards
+    share the CPUs instead of paying an execution's fixed latency floor
+    one after another, and one large row group still spreads over them.
     The driver commits a shard's manifest when its last unit reports, so
     checkpoints still land shard by shard; its ``elapsed_s`` is the sum
     of its units' task times. A shard without rows is committed at once
@@ -365,11 +339,11 @@ def resumable_materialize(
     if units:
         results = map_kernel(
             ray.data.from_items(units, override_num_blocks=len(units)),
-            _EdgeUnitWriter, edges_dir=edges_dir, seed=seed,
-            with_entities=with_entities,
+            _UnitWriter, out_dir=out_dir, seed=seed,
+            with_entities=with_entities, graph=False,
         )
         rows, busy = dict.fromkeys(remaining, 0), dict.fromkeys(remaining, 0.0)
-        with unreserved(results, _EdgeUnitWriter):
+        with unreserved(results):
             for r in results.iter_rows():
                 part = r["part"]
                 rows[part] += r["rows"]

@@ -21,13 +21,11 @@ input shard:
 all three directories first) writes the whole graph:
 
     out_dir/
-      triples/<token>-<task>-<j>.parquet
-                                     (one file per docs batch that
-                                      yields triples: the call's token,
-                                      the Ray task id and the batch's
-                                      ordinal in that task)
-      edges/<token>-<task>-<j>.parquet
-                                     (the same batch's edges)
+      triples/<k>-rg-<i>-<s>.parquet (one file per work unit that
+                                      yields triples: row group i's rows
+                                      from s on of input file k, the
+                                      sorted listing's k-th)
+      edges/<k>-rg-<i>-<s>.parquet   (the same unit's edges)
       nodes/...parquet               (canonicalize merge, Ray's writer)
 
 (a run without triples writes each of the three as one 0-row

@@ -80,7 +80,7 @@ def _explode_batch(batch: pa.Table) -> pa.Table:
 
 
 # docs per explode batch: docs_to_sentences' Ray batches and the row-group
-# streams of flagship.resumable_materialize's work units
+# streams of the graph writers' work units (flagship._UnitWriter)
 DOCS_BATCH = 256
 
 

@@ -867,9 +867,10 @@ def test_materialize_graph_one_execution_matches_serial_oracle(
 ):
     """triples, edges and nodes equal the serial composition of the
     kernels, row for row, and the whole call is ONE streaming execution
-    (the extraction task writes triples and edges; its partials feed the
+    (the unit tasks write triples and edges; their partials feed the
     nodes exchange). A second call into the same ``out_dir`` replaces
-    the first run's output instead of adding to it."""
+    the first run's output instead of adding to it: its triples and
+    edges files are the first run's names, each named after its unit."""
     import ray.data
 
     from openie_with_entities_ray.pipelines.flagship import (
@@ -892,7 +893,8 @@ def test_materialize_graph_one_execution_matches_serial_oracle(
     assert len(calls) == 2, calls
     again, files = _graph_rows(out)
     assert again == want
-    assert not set(first_files["triples"]) & set(files["triples"])
+    for d in ("triples", "edges"):
+        assert files[d] == first_files[d], d
 
 
 def test_materialize_graph_duplicate_inputs_keep_both_copies(
@@ -900,8 +902,9 @@ def test_materialize_graph_duplicate_inputs_keep_both_copies(
 ):
     """Two byte-identical copies of each input file (same rows, so equal
     batches, in one task or in two) give twice the triples and edges and
-    twice every node's mentions: no file name of one batch collides with
-    another's. Batches of 10 docs make many files per task."""
+    twice every node's mentions: no file name of one unit collides with
+    another's. Units of 10-doc batches make several files per input
+    file."""
     import pyarrow as pa
     import ray.data
 
@@ -927,45 +930,41 @@ def test_materialize_graph_duplicate_inputs_keep_both_copies(
     assert got["nodes"] == _oracle_rows({"nodes": doubled})["nodes"]
 
 
-def test_graph_writer_names_files_by_task_and_batch_ordinal(
-    ray_session, monkeypatch, tmp_path
-):
-    """Equal batches of one task get one file each (the batch ordinal
-    restarts with every task a worker process runs), and a retry of a
-    task — a fresh kernel in a new process under the same task id —
-    rewrites that task's names instead of adding copies."""
-    import ray
+def test_unit_writer_retry_rewrites_its_own_files(tmp_path):
+    """A retried unit — a fresh kernel in a new process running the same
+    unit again — rewrites the files of its first run instead of adding
+    copies, and returns the same rows, for both outputs: the graph's
+    ``triples/`` and ``edges/`` with their partials, and the graph job's
+    ``edges/part=<k>/`` with its summary row."""
+    import pyarrow as pa
 
-    from openie_with_entities_ray.pipelines.flagship import _GraphWriter
-    from openie_with_entities_ray.sources.source_docs import (
-        synthetic_source_docs_table,
+    from openie_with_entities_ray.pipelines.flagship import (
+        _shard_units,
+        _UnitWriter,
     )
 
-    class Context:
-        task = "a"
+    paths = _write_docs(tmp_path, 12)
+    units = pa.Table.from_pylist(_shard_units(3, paths[0]))
+    for graph, dirs in ((True, ("triples", "edges")),
+                        (False, ("edges/part=3",))):
+        out = tmp_path / f"graph-{graph}"
 
-        def get_task_id(self):
-            return self.task
+        def run():
+            got = _UnitWriter(str(out), seed=777, with_entities=True,
+                              graph=graph)(units)
+            files = {d: sorted(os.listdir(out / d)) for d in dirs}
+            rows = {d: _sorted_rows([pq.read_table(out / d / f)
+                                     for f in files[d]]) for d in dirs}
+            if not graph:
+                got = got.drop_columns(["busy_s"])
+            return got, files, rows
 
-    ctx = Context()
-    monkeypatch.setattr(ray, "get_runtime_context", lambda: ctx)
-    docs = synthetic_source_docs_table(6, seed=SEED)
-
-    def writer():
-        # one slice per call: the batch covers all six docs
-        return _GraphWriter(str(tmp_path), "tok", seed=777,
-                            with_entities=True, ent_backend="dictionary",
-                            batch=6)
-
-    w = writer()
-    first = w(docs)
-    assert first.num_rows and w(docs).equals(first)
-    ctx.task = "b"
-    w(docs)
-    assert writer()(docs).equals(first)  # task b retried elsewhere
-    names = ["tok-a-0.parquet", "tok-a-1.parquet", "tok-b-0.parquet"]
-    assert sorted(os.listdir(tmp_path / "triples")) == names
-    assert sorted(os.listdir(tmp_path / "edges")) == names
+        got, files, rows = run()
+        assert got.num_rows and all(rows.values())
+        name = "3-rg-0-0.parquet" if graph else "rg-0-0.parquet"
+        assert files == {d: [name] for d in dirs}
+        again, *rest = run()
+        assert again.equals(got) and rest == [files, rows], graph
 
 
 def _record_plans(monkeypatch) -> list:
@@ -992,35 +991,41 @@ def _record_plans(monkeypatch) -> list:
     return plans
 
 
-def test_materialize_graph_runs_unreserved_with_the_read_in_the_kernel(
+def test_materialize_graph_one_file_runs_unit_tasks_unreserved(
     ray_session, monkeypatch, tmp_path
 ):
-    """The one execution runs without Ray Data's per-operator reservation,
-    and its read is fused into the kernel's tasks: a standalone
-    ``ReadParquet`` operator would read ahead of the kernel with nothing
-    holding it back. The caller's Dataset keeps its reservation flag.
-
-    The input has 8 files, twice the session's CPUs: Ray splits the
-    output of fewer files into more blocks, and a split read is not
-    fused."""
+    """One input file of one row group (CLI ``--mode graph`` is usually
+    given one file) is cut into ``UNIT_SPLIT`` units that run as tasks of
+    one execution without Ray Data's per-operator reservation and with no
+    read operator in the plan; the outputs equal the serial oracle and
+    the caller's Dataset keeps its reservation flag. Batches of 8 docs
+    make the row group span more than ``UNIT_SPLIT`` batches."""
+    import pyarrow as pa
     import ray.data
 
-    from openie_with_entities_ray.pipelines.flagship import (
-        materialize_graph,
-    )
+    from openie_with_entities_ray.pipelines import flagship
 
-    docs = ray.data.read_parquet(_write_docs(tmp_path, 40, copies=4))
-    assert docs.context.op_resource_reservation_enabled
+    monkeypatch.setattr(flagship, "DOCS_BATCH", 8)
+    paths = _write_docs(tmp_path, 80)
+    one = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.concat_tables([pq.read_table(p) for p in paths]), one)
+    assert pq.ParquetFile(one).metadata.num_row_groups == 1
+    units = flagship._shard_units(0, one)
+    assert len(units) == flagship.UNIT_SPLIT < 80 // 8
+    docs = ray.data.read_parquet(one)
     plans = _record_plans(monkeypatch)
-    materialize_graph(docs, str(tmp_path / "graph"))
+    out = tmp_path / "graph"
+    flagship.materialize_graph(docs, str(out), with_entities=False)
     assert len(plans) == 1, plans
     reserved, names = plans[0]
     assert reserved is False
-    assert any(n.startswith("ReadParquet->MapBatches(_GraphWriter)->")
-               for n in names), names
-    assert not [n for n in names
-                if n.startswith("ReadParquet") and "_GraphWriter" not in n]
+    assert any("MapBatches(_UnitWriter)" in n.split("->") for n in names)
+    assert not [n for n in names if "Read" in n], names
     assert docs.context.op_resource_reservation_enabled is True
+    rows, files = _graph_rows(out)
+    assert rows == _oracle_rows(_graph_oracle([one], with_entities=False))
+    assert [os.path.basename(f) for f in files["triples"]] == sorted(
+        f"0-rg-0-{u['start']}.parquet" for u in units)
 
 
 def test_resumable_materialize_runs_unreserved(ray_session, monkeypatch,
@@ -1038,38 +1043,8 @@ def test_resumable_materialize_runs_unreserved(ray_session, monkeypatch,
     manifests, _ = resumable_materialize(paths, str(tmp_path / "out"))
     assert len(manifests) == len(paths)
     assert [reserved for reserved, _ in plans] == [False], plans
-    assert "MapBatches(_EdgeUnitWriter)" in plans[0][1]
+    assert "MapBatches(_UnitWriter)" in plans[0][1]
     assert DataContext.get_current().op_resource_reservation_enabled
-
-
-def test_materialize_graph_keeps_the_reservation_behind_a_split_read(
-    ray_session, monkeypatch, tmp_path
-):
-    """One input file is fewer than twice the CPUs: Ray splits its read
-    into blocks and does not fuse it into the kernel (CLI ``--mode graph``
-    on one file). That standalone read runs under the per-operator
-    reservation, the only thing that bounds how far it reads ahead, and
-    the outputs still equal the serial oracle in one execution."""
-    import pyarrow as pa
-    import ray.data
-
-    from openie_with_entities_ray.pipelines.flagship import (
-        materialize_graph,
-    )
-
-    paths = _write_docs(tmp_path, 40)
-    one = str(tmp_path / "docs.parquet")
-    pq.write_table(pa.concat_tables([pq.read_table(p) for p in paths]), one)
-    plans = _record_plans(monkeypatch)
-    materialize_graph(ray.data.read_parquet(one), str(tmp_path / "graph"),
-                      with_entities=False)
-    assert len(plans) == 1, plans
-    reserved, names = plans[0]
-    assert [n for n in names
-            if n.startswith("ReadParquet") and "_GraphWriter" not in n], names
-    assert reserved is True
-    rows, _ = _graph_rows(tmp_path / "graph")
-    assert rows == _oracle_rows(_graph_oracle([one], with_entities=False))
 
 
 class _Identity:
@@ -1079,15 +1054,10 @@ class _Identity:
         return batch
 
 
-def test_unreserved_clears_the_flag_only_when_the_kernel_leads(
-    ray_session, tmp_path
-):
+def test_unreserved_clears_the_flag_and_restores_it(ray_session):
     """The helper clears the flag on the context a derived Dataset shares
-    with its source only when nothing in the plan runs ahead of the
-    kernel, and puts back whatever was there before, also when its body
-    raises. A read the kernel does not fuse (one split file, or a
-    ``batch_size`` that re-bundles the read blocks) keeps the
-    reservation."""
+    with its source and puts back whatever was there before, also when
+    its body raises; the session's own context is never touched."""
     import ray.data
     from ray.data import DataContext
 
@@ -1099,22 +1069,45 @@ def test_unreserved_clears_the_flag_only_when_the_kernel_leads(
     for before in (True, False):
         ctx.op_resource_reservation_enabled = before
         with pytest.raises(RuntimeError, match="body"):
-            with unreserved(derived, _Identity):
+            with unreserved(derived):
                 assert ctx.op_resource_reservation_enabled is False
                 raise RuntimeError("body")
         assert ctx.op_resource_reservation_enabled is before
     assert DataContext.get_current().op_resource_reservation_enabled
 
-    paths = _write_docs(tmp_path, 40, copies=4)
-    for ds in (map_kernel(ray.data.read_parquet(paths[0]), _Identity),
-               map_kernel(ray.data.read_parquet(paths), _Identity,
-                          batch_size=7)):
-        with unreserved(ds, _Identity):
-            assert ds.context.op_resource_reservation_enabled is True
-    fused = map_kernel(ray.data.read_parquet(paths), _Identity)
-    with unreserved(fused, _Identity):
-        assert fused.context.op_resource_reservation_enabled is False
-    assert fused.context.op_resource_reservation_enabled is True
+
+def _source_files() -> list:
+    """The package, ``jobs/``, ``tools/`` and the top-level scripts."""
+    return sorted(
+        glob.glob(os.path.join(ROOT, "openie_with_entities_ray", "**",
+                               "*.py"), recursive=True)
+        + glob.glob(os.path.join(ROOT, "jobs", "*.py"))
+        + glob.glob(os.path.join(ROOT, "tools", "*.py"))
+        + glob.glob(os.path.join(ROOT, "*.py"))
+    )
+
+
+def test_no_ray_data_internal_imports():
+    """Nothing in the package, ``jobs/``, ``tools/`` or the top-level
+    scripts imports ``ray.data._internal``: Ray Data's private modules
+    move between releases, so the program uses its public API only."""
+    import ast
+
+    hits = []
+    for path in _source_files():
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            if any(n == "ray.data._internal"
+                   or n.startswith("ray.data._internal.") for n in names):
+                hits.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}: "
+                            f"{ast.unparse(node)}")
+    assert not hits, "\n".join(hits)
 
 
 def test_reservation_flag_is_set_only_by_unreserved():
@@ -1125,13 +1118,7 @@ def test_reservation_flag_is_set_only_by_unreserved():
     ``DataContext.get_current()``'s."""
     import ast
 
-    files = sorted(
-        glob.glob(os.path.join(ROOT, "openie_with_entities_ray", "**",
-                               "*.py"), recursive=True)
-        + glob.glob(os.path.join(ROOT, "jobs", "*.py"))
-        + glob.glob(os.path.join(ROOT, "tools", "*.py"))
-        + glob.glob(os.path.join(ROOT, "*.py"))
-    )
+    files = _source_files()
     helper = os.path.join("openie_with_entities_ray", "stages", "extract.py")
 
     def flag(name) -> bool:
@@ -1205,6 +1192,31 @@ def test_materialize_graph_empty_input_writes_empty_tables(
         table = pq.read_table(files[0])
         assert table.num_rows == 0, d
         assert table.schema.equals(want[d]), (d, table.schema)
+
+
+def test_materialize_graph_refuses_a_dataset_it_cannot_plan(
+    ray_session, tmp_path
+):
+    """A Dataset that lists no input file (``from_items``) or that
+    transforms its read raises ``ValueError`` before anything in
+    ``out_dir`` is touched: planning units from its files would ignore
+    the rows it actually holds."""
+    import ray.data
+
+    from openie_with_entities_ray.pipelines.flagship import (
+        materialize_graph,
+    )
+
+    paths = _write_docs(tmp_path, 4)
+    out = tmp_path / "graph"
+    (out / "triples").mkdir(parents=True)
+    for ds, why in (
+        (ray.data.from_items([{"x": 1}]), "lists no input file"),
+        (ray.data.read_parquet(paths).limit(1), "transforms its read"),
+    ):
+        with pytest.raises(ValueError, match=why):
+            materialize_graph(ds, str(out))
+        assert os.listdir(out) == ["triples"]
 
 
 def test_cli_graph_mode_on_empty_input_exits_zero(

@@ -180,7 +180,7 @@ def test_resumable_materialize_runs_one_execution(ray_session, monkeypatch,
     manifests, _ = resumable_materialize(shards, str(tmp_path / "out"))
     assert len(manifests) == 3
     assert len(plans) == 1, plans
-    assert "MapBatches(_EdgeUnitWriter)" in plans[0], plans
+    assert "MapBatches(_UnitWriter)" in plans[0], plans
 
 
 def test_resume_rejects_changed_shard(ray_session, tmp_path):
@@ -281,6 +281,33 @@ def test_resumable_materialize_survives_sigkill(ray_session, tmp_path):
         assert _part_files(out, part) == _part_files(clean, part), part
         assert _part_rows(out, part) == _part_rows(clean, part), part
     assert len(_part_files(clean, 1)) == 5
+
+
+def test_graph_job_rejects_input_without_source_docs_columns(tmp_path):
+    """``jobs/graph_job.py`` over a ``documents.parquet``-shaped shard
+    (``doc_id, text, lang, source, n_chars``: no source_docs ``content``)
+    exits 2 naming the file on stderr, before it clears a pending
+    partition or starts Ray."""
+    bad = _write_shard(tmp_path / "documents.parquet", pa.table({
+        "doc_id": pa.array([1, 2], pa.int64()),
+        "text": ["Alice founded Acme .", "Bob left ."],
+        "lang": ["en", "en"],
+        "source": ["web", "web"],
+        "n_chars": pa.array([20, 10], pa.int64()),
+    }))
+    out = tmp_path / "out"
+    stale = out / "edges" / "part=0" / "rg-0-0.parquet"
+    stale.parent.mkdir(parents=True)
+    pq.write_table(pa.table({"src": ["stale"]}), stale)
+    proc = subprocess.run(
+        [sys.executable, "jobs/graph_job.py", "--input", bad,
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120, cwd=REPO,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert repr(bad) in proc.stderr and "content" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert stale.exists()
 
 
 def _job(name: str):
