@@ -220,11 +220,14 @@ def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
     """End-to-end run: docs → ``triples/``, ``edges/`` and ``nodes/``
     Parquet in ONE Ray execution.
 
-    ``docs_ds`` is a Parquet read (``ray.data.read_parquet``): its work is
-    planned from its input files' footers, the same row-group units as
-    :func:`resumable_materialize` (file ``k`` of the sorted listing is
-    part ``k``), and a Dataset that lists no input file or that
-    transforms its read raises ``ValueError``. The units run as tasks of
+    ``docs_ds`` must be a plain ``ray.data.read_parquet`` of whole files:
+    its work is planned from its input files' footers, the same row-group
+    units as :func:`resumable_materialize` (file ``k`` of the sorted
+    listing is part ``k``), so the units read every row of those files.
+    A Dataset that lists no input file (``from_items``) raises
+    ``ValueError``; one that still lists its files after a transform
+    (``filter``, ``limit``, a read ``filter=``) is not detected, and its
+    transform is not applied. The units run as tasks of
     ``MapBatches(_UnitWriter)``, each reading its own rows, writing its
     triples and edges itself and handing on only its
     ``_partial_counts`` rows, which feed the canonicalize exchange
@@ -246,11 +249,10 @@ def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
     import ray.data
 
     files = sorted(docs_ds.input_files())
-    if not files or docs_ds._logical_plan.dag.input_dependencies:
+    if not files:
         raise ValueError(
             "materialize_graph plans its work from the input files of a "
-            "read_parquet Dataset; this Dataset "
-            + ("transforms its read" if files else "lists no input file"))
+            "read_parquet Dataset; this Dataset lists no input file")
     for sub in GRAPH_TABLES:
         path = os.path.join(out_dir, sub)
         if os.path.isdir(path):

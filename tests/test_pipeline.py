@@ -903,8 +903,10 @@ def test_materialize_graph_duplicate_inputs_keep_both_copies(
     """Two byte-identical copies of each input file (same rows, so equal
     batches, in one task or in two) give twice the triples and edges and
     twice every node's mentions: no file name of one unit collides with
-    another's. Units of 10-doc batches make several files per input
-    file."""
+    another's. Patching ``DOCS_BATCH`` to 10 in this process makes the
+    driver plan 10-doc units, so each input file writes several files;
+    the workers keep their own ``DOCS_BATCH`` and read each unit as one
+    batch."""
     import pyarrow as pa
     import ray.data
 
@@ -967,6 +969,54 @@ def test_unit_writer_retry_rewrites_its_own_files(tmp_path):
         assert again.equals(got) and rest == [files, rows], graph
 
 
+def test_unit_writer_streams_units_of_several_batches(monkeypatch,
+                                                     tmp_path):
+    """Units of several ``DOCS_BATCH`` batches, run in this process so
+    the patched batch size reaches the writer: each unit keeps one
+    triples and one edges writer open across its batches and joins its
+    batches' partials, and the units together write exactly the serial
+    oracle's rows, for both outputs. 40 docs at 1-doc batches make 8
+    units of 5 batches, each starting inside the row group."""
+    import pyarrow as pa
+
+    from openie_with_entities_ray.pipelines import flagship
+
+    monkeypatch.setattr(flagship, "DOCS_BATCH", 1)
+    one = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.concat_tables(
+        [pq.read_table(p) for p in _write_docs(tmp_path, 40)]), one)
+    units = flagship._shard_units(0, one)
+    assert [u["stop"] - u["start"] for u in units] == [5] * 8
+    oracle = _graph_oracle([one], with_entities=False)
+    want = _oracle_rows(oracle)
+    for graph in (True, False):
+        out = tmp_path / f"graph-{graph}"
+        got = flagship._UnitWriter(str(out), seed=777, with_entities=False,
+                                   graph=graph)(pa.Table.from_pylist(units))
+        dirs = {"triples": "triples", "edges": "edges"} if graph else {
+            "edges": "edges/part=0"}
+        for d, sub in dirs.items():
+            files = sorted(os.listdir(out / sub))
+            assert len(files) == len(units), (d, files)
+            assert _sorted_rows([pq.read_table(out / sub / f)
+                                 for f in files]) == want[d], d
+        if graph:
+            mentions = collections.Counter()
+            for norm, n in zip(got.column("surface_norm").to_pylist(),
+                               got.column("n_mentions").to_pylist()):
+                mentions[norm] += n
+            nodes = oracle["nodes"]
+            assert mentions == dict(zip(
+                nodes.column("surface_norm").to_pylist(),
+                nodes.column("n_mentions").to_pylist()))
+        else:
+            assert got.column("rows").to_pylist() == [
+                pq.read_metadata(out / "edges/part=0"
+                                 / f"rg-0-{u['start']}.parquet").num_rows
+                for u in units]
+            assert sum(got.column("rows").to_pylist()) == len(want["edges"])
+
+
 def _record_plans(monkeypatch) -> list:
     """``(op_resource_reservation_enabled, operator names)`` of every
     execution started while the hook is on."""
@@ -998,8 +1048,11 @@ def test_materialize_graph_one_file_runs_unit_tasks_unreserved(
     given one file) is cut into ``UNIT_SPLIT`` units that run as tasks of
     one execution without Ray Data's per-operator reservation and with no
     read operator in the plan; the outputs equal the serial oracle and
-    the caller's Dataset keeps its reservation flag. Batches of 8 docs
-    make the row group span more than ``UNIT_SPLIT`` batches."""
+    the caller's Dataset keeps its reservation flag. Patching
+    ``DOCS_BATCH`` to 8 in this process makes the driver plan the row
+    group as more than ``UNIT_SPLIT`` batches; the workers keep their own
+    ``DOCS_BATCH`` and read each unit as one batch (units of several
+    batches: ``test_unit_writer_streams_units_of_several_batches``)."""
     import pyarrow as pa
     import ray.data
 
@@ -1197,26 +1250,21 @@ def test_materialize_graph_empty_input_writes_empty_tables(
 def test_materialize_graph_refuses_a_dataset_it_cannot_plan(
     ray_session, tmp_path
 ):
-    """A Dataset that lists no input file (``from_items``) or that
-    transforms its read raises ``ValueError`` before anything in
-    ``out_dir`` is touched: planning units from its files would ignore
-    the rows it actually holds."""
+    """A Dataset that lists no input file (``from_items``) raises
+    ``ValueError`` before anything in ``out_dir`` is touched: there are
+    no files to plan units from, and writing empty tables would be a
+    silent wrong answer."""
     import ray.data
 
     from openie_with_entities_ray.pipelines.flagship import (
         materialize_graph,
     )
 
-    paths = _write_docs(tmp_path, 4)
     out = tmp_path / "graph"
     (out / "triples").mkdir(parents=True)
-    for ds, why in (
-        (ray.data.from_items([{"x": 1}]), "lists no input file"),
-        (ray.data.read_parquet(paths).limit(1), "transforms its read"),
-    ):
-        with pytest.raises(ValueError, match=why):
-            materialize_graph(ds, str(out))
-        assert os.listdir(out) == ["triples"]
+    with pytest.raises(ValueError, match="lists no input file"):
+        materialize_graph(ray.data.from_items([{"x": 1}]), str(out))
+    assert os.listdir(out) == ["triples"]
 
 
 def test_cli_graph_mode_on_empty_input_exits_zero(
