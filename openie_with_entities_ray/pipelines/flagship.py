@@ -226,11 +226,10 @@ def materialize_graph(docs_ds, out_dir: str, *, seed: int = 777,
     listing is part ``k``), so the units read every row of those files.
     A Dataset that lists no input file (``from_items``) raises
     ``ValueError``; one that still lists its files after a transform
-    (``filter``, ``limit``, a read ``filter=``) is not detected, and its
-    transform is not applied. The units run as tasks of
-    ``MapBatches(_UnitWriter)``, each reading its own rows, writing its
-    triples and edges itself and handing on only its
-    ``_partial_counts`` rows, which feed the canonicalize exchange
+    (e.g. ``limit``) is not detected, and its transform is not applied.
+    The units run as tasks of ``MapBatches(_UnitWriter)``, each reading
+    its own rows, writing its triples and edges itself and handing on
+    only its ``_partial_counts`` rows, which feed the canonicalize exchange
     (``merge`` → ``finalize`` → nodes write) directly. The full triples
     and edges tables go straight to storage from the task that made
     them; only the partials — O(distinct surfaces per batch) rows —
